@@ -19,6 +19,7 @@ from .model import (
     EvaluatedSample,
     Objective,
     RngStream,
+    check_run_settings,
     elite_count,
     is_binary_converged,
 )
@@ -53,22 +54,7 @@ class BatchConfig:
     eps_conv: Optional[float] = 1e-6
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ConfigError(f"N: population size must be >= 1, got {self.N}")
-        if not 0.0 < self.rho < 1.0:
-            raise ConfigError(f"rho: elite fraction must be in (0,1), got {self.rho}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"alpha: smoothing factor must be in (0,1], got {self.alpha}")
-        if self.T < 1:
-            raise ConfigError(f"T: generation count must be >= 1, got {self.T}")
-        if self.p0 is not None:
-            p = self.p0.probs
-            # Interior start: absorption analysis assumes no component
-            # begins already frozen at 0 or 1.
-            if np.any(p <= 0.0) or np.any(p >= 1.0):
-                raise ConfigError("p0: initial probabilities must lie strictly in (0,1)")
-        if self.eps_conv is not None and not 0.0 < self.eps_conv < 0.5:
-            raise ConfigError(f"eps_conv: must be in (0,0.5) or None, got {self.eps_conv}")
+        check_run_settings(self, "T")
 
 
 @dataclass(frozen=True)

@@ -18,18 +18,19 @@ import csv
 import io
 import json
 import math
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from functools import cache, lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
 
 from .batch import BatchConfig, run_batch
 from .diagnostics import analyze, miss_probability_bound, phi
 from .errors import ConfigError
 from .memoryless import MemorylessConfig, run_memoryless
 from .model import BernoulliParams, Objective, RngStream, elite_count
-from .objectives import KINDS, ProblemSpec, make_objective
+from .objectives import ProblemSpec, make_objective
 from .trace import RunTrace
 from .window import OnlineConfig, run_online_window
 
@@ -65,6 +66,14 @@ RESULTS_SCHEMA = "cemkit-results-v1"
 SWEEP_SCHEMA = "cemkit-sweep-v1"
 COMPARE_SCHEMA = "cemkit-compare-v1"
 
+# Engine config class and runner per variant; the engine configs take
+# their knobs from the ExperimentConfig fields of the same name.
+_ENGINES = {
+    "batch": (BatchConfig, run_batch),
+    "window": (OnlineConfig, run_online_window),
+    "memoryless": (MemorylessConfig, run_memoryless),
+}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -74,6 +83,9 @@ class ExperimentConfig:
     so a config can serve `compare` unchanged, where the budgets must
     match (T*N == K). Fields irrelevant to the selected variant are
     simply unused.
+
+    The fields are the config file's schema, keyed by name; a field with
+    a "block" in its metadata sits in that nested object (output.path).
     """
 
     problem: ProblemSpec
@@ -97,8 +109,8 @@ class ExperimentConfig:
     snapshot_stride: Optional[int] = None
     alphas: Optional[Tuple[float, ...]] = None
     jobs: int = 1
-    output_path: Optional[str] = None
-    output_format: str = "csv"
+    output_path: Optional[str] = field(default=None, metadata={"block": "output"})
+    output_format: str = field(default="csv", metadata={"block": "output"})
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -169,115 +181,86 @@ class CompareRow:
 # ---------------------------------------------------------------------------
 # Config plumbing
 
-_CONFIG_KEYS = {
-    "problem",
-    "variant",
-    "N",
-    "rho",
-    "alpha",
-    "T",
-    "K",
-    "replicates",
-    "base_seed",
-    "estimator",
-    "beta",
-    "gamma0",
-    "delta0",
-    "delta0_mode",
-    "delta_init",
-    "delta_min",
-    "eps_conv",
-    "eps_binary",
-    "snapshot_stride",
-    "alphas",
-    "jobs",
-    "output",
-}
-
-_PROBLEM_KEYS = {"kind", "n", "weights", "k", "edges"}
+@cache
+def _schema(cls) -> Tuple:
+    """(field, resolved type) pairs of a config dataclass, resolved once."""
+    hints = get_type_hints(cls)
+    return tuple((f, hints[f.name]) for f in fields(cls))
 
 
-def _parse_problem(data: Dict) -> ProblemSpec:
+def _coerce(value, tp, name: str):
+    """Check a JSON value against a field type; never converts silently.
+
+    int takes an integer or a whole float, float any finite number (bools
+    are neither), str a string, a tuple a list, a dataclass an object.
+    """
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if tp is int:
+        if number and (isinstance(value, int) or value.is_integer()):
+            return int(value)
+        raise ConfigError(f"{name}: must be an integer, got {value!r}")
+    if tp is float:
+        # The bound rejects nan, the infinities, and ints too big for a float.
+        if number and abs(value) <= sys.float_info.max:
+            return float(value)
+        raise ConfigError(f"{name}: must be a finite number, got {value!r}")
+    if tp is str:
+        if isinstance(value, str):
+            return value
+        raise ConfigError(f"{name}: must be a string, got {value!r}")
+    if is_dataclass(tp):
+        return _build(tp, value, name)
+    args = get_args(tp)
+    if get_origin(tp) is Union:  # Optional[X]
+        return None if value is None else _coerce(value, args[0], name)
+    # Tuple[X, ...] or a fixed-length Tuple[X, Y]
+    if not isinstance(value, list):
+        raise ConfigError(f"{name}: must be a list, got {value!r}")
+    if args[-1] is Ellipsis:
+        args = (args[0],) * len(value)
+    elif len(value) != len(args):
+        raise ConfigError(f"{name}: entry {value!r} must have {len(args)} items")
+    return tuple(_coerce(v, a, name) for v, a in zip(value, args))
+
+
+def _object(data, name: str, keys) -> Dict:
+    """`data`, checked to be a JSON object with no keys outside `keys`."""
     if not isinstance(data, dict):
-        raise ConfigError("problem: must be an object with at least 'kind' and 'n'")
-    unknown = set(data) - _PROBLEM_KEYS
+        raise ConfigError(f"{name}: must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - set(keys)
     if unknown:
-        raise ConfigError(f"problem: unknown field(s) {sorted(unknown)}")
-    if "kind" not in data or "n" not in data:
-        raise ConfigError("problem: 'kind' and 'n' are required")
-    weights = data.get("weights")
-    edges = data.get("edges")
-    return ProblemSpec(
-        kind=data["kind"],
-        n=int(data["n"]),
-        weights=None if weights is None else tuple(float(w) for w in weights),
-        k=None if data.get("k") is None else int(data["k"]),
-        edges=None if edges is None else tuple((int(i), int(j)) for i, j in edges),
-    )
+        raise ConfigError(f"{name}: unknown field(s) {sorted(unknown)}")
+    return data
 
 
-def parse_config(data: Dict, require_problem: bool = True) -> ExperimentConfig:
+def _build(cls, data, name: str):
+    """Construct a config dataclass from the JSON object found at `name`."""
+    schema = _schema(cls)
+    blocks = {f.metadata.get("block") for f, _ in schema} - {None}
+    values = dict(_object(data, name, blocks | {f.name for f, _ in schema if "block" not in f.metadata}))
+    for block in blocks & set(values):
+        members = [f.name[len(block) + 1:] for f, _ in schema if f.metadata.get("block") == block]
+        values.update((f"{block}_{k}", v) for k, v in _object(values.pop(block), block, members).items())
+    kwargs = {}
+    for f, tp in schema:
+        if f.name in values:
+            kwargs[f.name] = _coerce(values[f.name], tp, f.name)
+        elif f.default is MISSING:
+            raise ConfigError(f"{f.name}: required")
+    return cls(**kwargs)
+
+
+def parse_config(data: Dict) -> ExperimentConfig:
     """Build and validate an ExperimentConfig from a plain dict.
 
     Unknown keys are errors: configs are part of the reproducibility
-    record and a silently ignored typo would poison it. The selected
-    variant's engine config is constructed once here so engine-level
-    constraint violations surface at parse time.
+    record and a silently ignored typo would poison it. The objective
+    (cached for the run) and the selected variant's engine config are
+    built here so their constraint violations surface at parse time.
     """
-    if not isinstance(data, dict):
-        raise ConfigError("config: top level must be a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
-    if unknown:
-        raise ConfigError(f"config: unknown field(s) {sorted(unknown)}")
-    if require_problem and "problem" not in data:
-        raise ConfigError("problem: required")
-
-    output = data.get("output", {})
-    if output and not isinstance(output, dict):
-        raise ConfigError("output: must be an object {path, format}")
-    out_unknown = set(output) - {"path", "format"}
-    if out_unknown:
-        raise ConfigError(f"output: unknown field(s) {sorted(out_unknown)}")
-
-    defaults = ExperimentConfig(problem=ProblemSpec(kind="onemax", n=1))
-
-    def opt_float(key: str) -> Optional[float]:
-        v = data.get(key, getattr(defaults, key))
-        return None if v is None else float(v)
-
-    def opt_int(key: str) -> Optional[int]:
-        v = data.get(key, getattr(defaults, key))
-        return None if v is None else int(v)
-
-    alphas = data.get("alphas")
-    cfg = ExperimentConfig(
-        problem=_parse_problem(data["problem"]) if "problem" in data else defaults.problem,
-        variant=data.get("variant", defaults.variant),
-        N=int(data.get("N", defaults.N)),
-        rho=float(data.get("rho", defaults.rho)),
-        alpha=float(data.get("alpha", defaults.alpha)),
-        T=int(data.get("T", defaults.T)),
-        K=int(data.get("K", defaults.K)),
-        replicates=int(data.get("replicates", defaults.replicates)),
-        base_seed=int(data.get("base_seed", defaults.base_seed)),
-        estimator=data.get("estimator", defaults.estimator),
-        beta=float(data.get("beta", defaults.beta)),
-        gamma0=opt_float("gamma0"),
-        delta0=opt_float("delta0"),
-        delta0_mode=data.get("delta0_mode", defaults.delta0_mode),
-        delta_init=float(data.get("delta_init", defaults.delta_init)),
-        delta_min=float(data.get("delta_min", defaults.delta_min)),
-        eps_conv=opt_float("eps_conv"),
-        eps_binary=float(data.get("eps_binary", defaults.eps_binary)),
-        snapshot_stride=opt_int("snapshot_stride"),
-        alphas=None if alphas is None else tuple(float(a) for a in alphas),
-        jobs=int(data.get("jobs", defaults.jobs)),
-        output_path=output.get("path"),
-        output_format=output.get("format", defaults.output_format),
-    )
-    if require_problem:
-        make_objective(cfg.problem)
-        _variant_config(cfg)
+    cfg = _build(ExperimentConfig, data, "config")
+    _cached_objective(cfg.problem)
+    _variant_config(cfg)
     return cfg
 
 
@@ -292,39 +275,28 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(data)
 
 
+def _to_json(value, keep_none: bool = False):
+    """Plain JSON data of a field value; tuples become lists."""
+    if isinstance(value, tuple):
+        return [_to_json(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    out: Dict = {}
+    for f, _ in _schema(type(value)):
+        v, block = getattr(value, f.name), f.metadata.get("block")
+        if v is not None or keep_none:
+            into = out.setdefault(block, {}) if block else out
+            into[f.name[len(block) + 1:] if block else f.name] = _to_json(v)
+    return out
+
+
 def config_to_dict(cfg: ExperimentConfig) -> Dict:
-    """Full, explicit dict form of a config (the config-dump payload)."""
-    prob: Dict = {"kind": cfg.problem.kind, "n": cfg.problem.n}
-    if cfg.problem.weights is not None:
-        prob["weights"] = list(cfg.problem.weights)
-    if cfg.problem.k is not None:
-        prob["k"] = cfg.problem.k
-    if cfg.problem.edges is not None:
-        prob["edges"] = [list(e) for e in cfg.problem.edges]
-    return {
-        "problem": prob,
-        "variant": cfg.variant,
-        "N": cfg.N,
-        "rho": cfg.rho,
-        "alpha": cfg.alpha,
-        "T": cfg.T,
-        "K": cfg.K,
-        "replicates": cfg.replicates,
-        "base_seed": cfg.base_seed,
-        "estimator": cfg.estimator,
-        "beta": cfg.beta,
-        "gamma0": cfg.gamma0,
-        "delta0": cfg.delta0,
-        "delta0_mode": cfg.delta0_mode,
-        "delta_init": cfg.delta_init,
-        "delta_min": cfg.delta_min,
-        "eps_conv": cfg.eps_conv,
-        "eps_binary": cfg.eps_binary,
-        "snapshot_stride": cfg.snapshot_stride,
-        "alphas": None if cfg.alphas is None else list(cfg.alphas),
-        "jobs": cfg.jobs,
-        "output": {"path": cfg.output_path, "format": cfg.output_format},
-    }
+    """Full, explicit dict form of a config (the config-dump payload).
+
+    Every top-level field appears, null or not; the nested problem
+    object lists only the keys that are set.
+    """
+    return _to_json(cfg, keep_none=True)
 
 
 def default_config_dict() -> Dict:
@@ -343,48 +315,16 @@ def _cached_objective(spec: ProblemSpec) -> Objective:
 
 
 def _variant_config(cfg: ExperimentConfig):
-    if cfg.variant == "batch":
-        return BatchConfig(
-            N=cfg.N,
-            rho=cfg.rho,
-            alpha=cfg.alpha,
-            T=cfg.T,
-            eps_conv=cfg.eps_conv if cfg.eps_conv is not None else 1e-6,
-        )
-    if cfg.variant == "window":
-        return OnlineConfig(
-            N=cfg.N,
-            rho=cfg.rho,
-            alpha=cfg.alpha,
-            K=cfg.K,
-            eps_conv=cfg.eps_conv,
-            snapshot_stride=cfg.snapshot_stride,
-        )
-    return MemorylessConfig(
-        N=cfg.N,
-        rho=cfg.rho,
-        alpha=cfg.alpha,
-        K=cfg.K,
-        gamma0=cfg.gamma0,
-        estimator=cfg.estimator,
-        beta=cfg.beta,
-        delta0=cfg.delta0,
-        delta0_mode=cfg.delta0_mode,
-        delta_init=cfg.delta_init,
-        delta_min=cfg.delta_min,
-        eps_conv=cfg.eps_conv,
-        snapshot_stride=cfg.snapshot_stride,
-    )
+    # Unset (None) knobs keep the engine's own default; for batch that
+    # is eps_conv=1e-6, the early stop on full absorption.
+    cls = _ENGINES[cfg.variant][0]
+    knobs = {f.name: getattr(cfg, f.name, None) for f in fields(cls)}
+    return cls(**{k: v for k, v in knobs.items() if v is not None})
 
 
 def run_variant(cfg: ExperimentConfig, obj: Objective, rng: RngStream) -> RunTrace:
     """Run the configured variant once."""
-    vc = _variant_config(cfg)
-    if cfg.variant == "batch":
-        return run_batch(vc, obj, rng)
-    if cfg.variant == "window":
-        return run_online_window(vc, obj, rng)
-    return run_memoryless(vc, obj, rng)
+    return _ENGINES[cfg.variant][1](_variant_config(cfg), obj, rng)
 
 
 def _run_one(cfg: ExperimentConfig, obj: Objective, r: int) -> ResultRow:
@@ -425,12 +365,11 @@ def run_experiment(cfg: ExperimentConfig, jobs: Optional[int] = None) -> List[Re
     n_jobs = cfg.jobs if jobs is None else jobs
     if n_jobs < 1:
         raise ConfigError(f"jobs: must be >= 1, got {n_jobs}")
-    tasks = [(cfg, r) for r in range(cfg.replicates)]
     if n_jobs == 1:
         obj = _cached_objective(cfg.problem)
         return [_run_one(cfg, obj, r) for r in range(cfg.replicates)]
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(_replicate_task, tasks))
+        return list(pool.map(_replicate_task, [(cfg, r) for r in range(cfg.replicates)]))
 
 
 def wilson_interval(hits: int, n: int, z: float = 1.959963984540054) -> Tuple[float, float]:
@@ -472,26 +411,28 @@ def alpha_sweep(
     grid = tuple(alphas) if alphas is not None else cfg.alphas
     if grid is None or len(grid) == 0:
         raise ConfigError("alphas: required for an alpha sweep")
+    cells = [replace(cfg, alpha=float(a), alphas=None) for a in grid]
+    for sub in cells:  # reject a bad alpha before any cell runs
+        _variant_config(sub)
     obj = _cached_objective(cfg.problem)
     if obj.optimal_bits is None or obj.optimal_value is None:
         raise ConfigError("problem: alpha sweep requires a problem with known optimum")
     out: List[SweepRow] = []
-    for a in grid:
-        sub = replace(cfg, alpha=float(a), alphas=None)
+    for sub in cells:
         rows = run_experiment(sub, jobs)
         hits = sum(1 for row in rows if row.first_hit is not None)
         n = len(rows)
         lo, hi = wilson_interval(hits, n)
         out.append(
             SweepRow(
-                alpha=float(a),
+                alpha=sub.alpha,
                 replicates=n,
                 hits=hits,
                 hit_rate=hits / n,
                 ci_low=lo,
                 ci_high=hi,
                 miss_rate=(n - hits) / n,
-                miss_bound=_sweep_miss_bound(cfg, obj, float(a)),
+                miss_bound=_sweep_miss_bound(cfg, obj, sub.alpha),
             )
         )
     return out
@@ -508,18 +449,20 @@ def compare_variants(cfg: ExperimentConfig, jobs: Optional[int] = None) -> List[
         raise ConfigError(
             f"K: matched budgets require T*N == K, got T*N={cfg.T * cfg.N} and K={cfg.K}"
         )
+    cells = [replace(cfg, variant=v) for v in VARIANTS]
+    for sub in cells:  # every engine's constraints hold before any replicate runs
+        _variant_config(sub)
     obj = _cached_objective(cfg.problem)
     if obj.optimal_bits is None or obj.optimal_value is None:
         raise ConfigError("problem: variant comparison requires a problem with known optimum")
     out: List[CompareRow] = []
-    for variant in VARIANTS:
-        sub = replace(cfg, variant=variant)
+    for sub in cells:
         rows = run_experiment(sub, jobs)
         hits = [row.first_hit for row in rows if row.first_hit is not None]
         conv = [row.converged_step for row in rows if row.converged_step is not None]
         out.append(
             CompareRow(
-                variant=variant,
+                variant=sub.variant,
                 replicates=len(rows),
                 budget=cfg.K,
                 hits=len(hits),
@@ -549,99 +492,39 @@ def _json_value(v):
     return NEVER if v is None else v
 
 
-def _csv_table(comment: str, header: List[str], rows: List[List]) -> str:
+def _table(schema: str, row_cls, fmt: str, rows: List) -> str:
+    """One result table; columns are the row class's fields minus wall_clock."""
+    cols = [f.name for f in fields(row_cls) if f.name != "wall_clock"]
+    if fmt == "json":
+        data = [{c: _json_value(getattr(r, c)) for c in cols} for r in rows]
+        return json.dumps({"schema": schema, "rows": data}, indent=2, sort_keys=True) + "\n"
     buf = io.StringIO()
-    buf.write(comment + "\n")
+    buf.write(f"# {schema}\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_cell(v) for v in row])
+    writer.writerow(cols)
+    writer.writerows([_cell(getattr(r, c)) for c in cols] for r in rows)
     return buf.getvalue()
 
 
-_RESULT_FIELDS = [
-    "replicate",
-    "seed",
-    "variant",
-    "steps",
-    "first_hit",
-    "best_value",
-    "converged_binary",
-    "converged_step",
-    "sign_changes_total",
-    "envelope_violations",
-]
-
-
 def results_to_csv(rows: List[ResultRow]) -> str:
-    return _csv_table(
-        f"# {RESULTS_SCHEMA}",
-        _RESULT_FIELDS,
-        [[getattr(r, f) for f in _RESULT_FIELDS] for r in rows],
-    )
+    return _table(RESULTS_SCHEMA, ResultRow, "csv", rows)
 
 
 def results_to_json(rows: List[ResultRow]) -> str:
-    payload = {
-        "schema": RESULTS_SCHEMA,
-        "rows": [
-            {f: _json_value(getattr(r, f)) for f in _RESULT_FIELDS} for r in rows
-        ],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-_SWEEP_FIELDS = [
-    "alpha",
-    "replicates",
-    "hits",
-    "hit_rate",
-    "ci_low",
-    "ci_high",
-    "miss_rate",
-    "miss_bound",
-]
+    return _table(RESULTS_SCHEMA, ResultRow, "json", rows)
 
 
 def sweep_to_csv(rows: List[SweepRow]) -> str:
-    return _csv_table(
-        f"# {SWEEP_SCHEMA}",
-        _SWEEP_FIELDS,
-        [[getattr(r, f) for f in _SWEEP_FIELDS] for r in rows],
-    )
+    return _table(SWEEP_SCHEMA, SweepRow, "csv", rows)
 
 
 def sweep_to_json(rows: List[SweepRow]) -> str:
-    payload = {
-        "schema": SWEEP_SCHEMA,
-        "rows": [{f: _json_value(getattr(r, f)) for f in _SWEEP_FIELDS} for r in rows],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
-_COMPARE_FIELDS = [
-    "variant",
-    "replicates",
-    "budget",
-    "hits",
-    "hit_rate",
-    "mean_first_hit",
-    "n_converged",
-    "mean_converged_step",
-]
+    return _table(SWEEP_SCHEMA, SweepRow, "json", rows)
 
 
 def compare_to_csv(rows: List[CompareRow]) -> str:
-    return _csv_table(
-        f"# {COMPARE_SCHEMA}",
-        _COMPARE_FIELDS,
-        [[getattr(r, f) for f in _COMPARE_FIELDS] for r in rows],
-    )
+    return _table(COMPARE_SCHEMA, CompareRow, "csv", rows)
 
 
 def compare_to_json(rows: List[CompareRow]) -> str:
-    payload = {
-        "schema": COMPARE_SCHEMA,
-        "rows": [{f: _json_value(getattr(r, f)) for f in _COMPARE_FIELDS} for r in rows],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _table(COMPARE_SCHEMA, CompareRow, "json", rows)

@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .model import BernoulliParams, Objective, RngStream, elite_count
+from .model import BernoulliParams, Objective, RngStream, check_run_settings, elite_count
 from .normal import normal_ppf
 from .trace import RunTrace, TraceRecorder
 
@@ -178,22 +178,11 @@ class MemorylessConfig:
     snapshot_stride: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ConfigError(f"N: nominal population size must be >= 1, got {self.N}")
-        if not 0.0 < self.rho < 1.0:
-            raise ConfigError(f"rho: elite fraction must be in (0,1), got {self.rho}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"alpha: smoothing factor must be in (0,1], got {self.alpha}")
-        if self.K < 1:
-            raise ConfigError(f"K: sample count must be >= 1, got {self.K}")
+        check_run_settings(self, "K")
         if self.N * self.rho <= 1.0:
             raise ConfigError(
                 f"N: need N > 1/rho for the memoryless variant, got N={self.N}, rho={self.rho}"
             )
-        if self.p0 is not None:
-            p = self.p0.probs
-            if np.any(p <= 0.0) or np.any(p >= 1.0):
-                raise ConfigError("p0: initial probabilities must lie strictly in (0,1)")
         if self.gamma0 is not None and not math.isfinite(self.gamma0):
             raise ConfigError(f"gamma0: must be finite, got {self.gamma0}")
         if self.estimator not in ESTIMATORS:
@@ -210,10 +199,6 @@ class MemorylessConfig:
             raise ConfigError(f"delta_init: must be >= 0, got {self.delta_init}")
         if self.delta_min < 0.0:
             raise ConfigError(f"delta_min: must be >= 0, got {self.delta_min}")
-        if self.eps_conv is not None and not 0.0 < self.eps_conv < 0.5:
-            raise ConfigError(f"eps_conv: must be in (0,0.5) or None, got {self.eps_conv}")
-        if self.snapshot_stride is not None and self.snapshot_stride < 1:
-            raise ConfigError(f"snapshot_stride: must be >= 1, got {self.snapshot_stride}")
 
     def resolved_delta0(self) -> float:
         """The scale constant actually used: explicit value or the model's."""

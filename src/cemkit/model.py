@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 __all__ = [
     "BernoulliParams",
@@ -24,6 +24,7 @@ __all__ = [
     "evaluate",
     "is_binary_converged",
     "elite_count",
+    "check_run_settings",
     "negated",
 ]
 
@@ -173,3 +174,29 @@ def elite_count(n_samples: int, rho: float) -> int:
     if not 0.0 < rho < 1.0:
         raise ValueError("rho must lie in (0, 1)")
     return max(1, math.ceil(rho * n_samples - 1e-12))
+
+
+def check_run_settings(cfg, budget: str) -> None:
+    """Range checks shared by the batch, window and memoryless engine configs.
+
+    `budget` names the run-length field, "T" (generations) or "K"
+    (samples). snapshot_stride is checked where the config has one.
+    """
+    if cfg.N < 1:
+        raise ConfigError(f"N: must be >= 1, got {cfg.N}")
+    if not 0.0 < cfg.rho < 1.0:
+        raise ConfigError(f"rho: elite fraction must be in (0,1), got {cfg.rho}")
+    if not 0.0 < cfg.alpha <= 1.0:
+        raise ConfigError(f"alpha: smoothing factor must be in (0,1], got {cfg.alpha}")
+    steps = getattr(cfg, budget)
+    if steps < 1:
+        raise ConfigError(f"{budget}: must be >= 1, got {steps}")
+    # Interior start: absorption analysis assumes no component begins
+    # already frozen at 0 or 1.
+    if cfg.p0 is not None and (np.any(cfg.p0.probs <= 0.0) or np.any(cfg.p0.probs >= 1.0)):
+        raise ConfigError("p0: initial probabilities must lie strictly in (0,1)")
+    if cfg.eps_conv is not None and not 0.0 < cfg.eps_conv < 0.5:
+        raise ConfigError(f"eps_conv: must be in (0,0.5) or None, got {cfg.eps_conv}")
+    stride = getattr(cfg, "snapshot_stride", None)
+    if stride is not None and stride < 1:
+        raise ConfigError(f"snapshot_stride: must be >= 1, got {stride}")

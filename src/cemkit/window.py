@@ -22,6 +22,7 @@ from .model import (
     EvaluatedSample,
     Objective,
     RngStream,
+    check_run_settings,
     elite_count,
 )
 from .trace import RunTrace, TraceRecorder
@@ -102,22 +103,7 @@ class OnlineConfig:
     snapshot_stride: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.N < 1:
-            raise ConfigError(f"N: window length must be >= 1, got {self.N}")
-        if not 0.0 < self.rho < 1.0:
-            raise ConfigError(f"rho: elite fraction must be in (0,1), got {self.rho}")
-        if not 0.0 < self.alpha <= 1.0:
-            raise ConfigError(f"alpha: smoothing factor must be in (0,1], got {self.alpha}")
-        if self.K < 1:
-            raise ConfigError(f"K: sample count must be >= 1, got {self.K}")
-        if self.p0 is not None:
-            p = self.p0.probs
-            if np.any(p <= 0.0) or np.any(p >= 1.0):
-                raise ConfigError("p0: initial probabilities must lie strictly in (0,1)")
-        if self.eps_conv is not None and not 0.0 < self.eps_conv < 0.5:
-            raise ConfigError(f"eps_conv: must be in (0,0.5) or None, got {self.eps_conv}")
-        if self.snapshot_stride is not None and self.snapshot_stride < 1:
-            raise ConfigError(f"snapshot_stride: must be >= 1, got {self.snapshot_stride}")
+        check_run_settings(self, "K")
 
 
 def online_update(x: np.ndarray, params: BernoulliParams, alpha1: float) -> BernoulliParams:

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import cemkit
-from cemkit import cli
+from cemkit import cli, harness
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -101,6 +101,21 @@ class TestFailureModes:
         code, _, err = _run(capsys, ["run", "--config", str(p)])
         assert code == 2 and "turbo" in err
 
+    @pytest.mark.parametrize(
+        "patch, field",
+        [
+            ({"alphas": "0.5"}, "alphas"),
+            ({"output": None}, "output"),
+            ({"variant": "memoryless", "delta_init": float("nan")}, "delta_init"),
+        ],
+    )
+    def test_mistyped_field_is_a_config_error(self, capsys, tmp_path, patch, field):
+        p = tmp_path / "typed.json"
+        p.write_text(json.dumps({**CFG, **patch}))
+        code, out, err = _run(capsys, ["run", "--config", str(p)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {field}:")
+
     def test_unwritable_out(self, capsys, cfg_path, tmp_path):
         dest = tmp_path / "missing_dir" / "r.csv"
         code, _, err = _run(capsys, ["run", "--config", cfg_path, "--out", str(dest)])
@@ -159,6 +174,20 @@ class TestCompare:
         ]
 
 
+    def test_objective_built_once(self, capsys, tmp_path, monkeypatch):
+        # Parse-time validation and the run share one cached objective.
+        built = []
+        make = harness.make_objective
+        monkeypatch.setattr(harness, "make_objective", lambda spec: built.append(spec) or make(spec))
+        harness._cached_objective.cache_clear()
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**CFG, "K": 100}))
+        code, _, _ = _run(capsys, ["compare", "--config", str(p)])
+        harness._cached_objective.cache_clear()
+        assert code == 0
+        assert len(built) == 1
+
+
 class TestCalibrate:
     def test_csv_keys(self, capsys):
         code, out, _ = _run(capsys, ["calibrate-delta0", "--reps", "10000"])
@@ -211,6 +240,43 @@ class TestConfigDump:
         data = json.loads(out)
         assert data["problem"]["kind"] == "onemax"
         assert data["variant"] == "batch"
+
+    def test_default_dump_bytes(self, capsys):
+        # Byte-frozen: every top-level key even when null, the nested
+        # output block, and only the set keys of the problem block.
+        expect = """{
+  "K": 5000,
+  "N": 100,
+  "T": 50,
+  "alpha": 0.7,
+  "alphas": null,
+  "base_seed": 12345,
+  "beta": 0.1,
+  "delta0": null,
+  "delta0_mode": "nominal",
+  "delta_init": 0.0,
+  "delta_min": 0.0,
+  "eps_binary": 0.001,
+  "eps_conv": null,
+  "estimator": "gauss_model",
+  "gamma0": null,
+  "jobs": 1,
+  "output": {
+    "format": "csv",
+    "path": null
+  },
+  "problem": {
+    "kind": "onemax",
+    "n": 20
+  },
+  "replicates": 100,
+  "rho": 0.1,
+  "snapshot_stride": null,
+  "variant": "batch"
+}
+"""
+        code, out, _ = _run(capsys, ["config-dump"])
+        assert code == 0 and out == expect
 
     def test_round_trip(self, capsys, cfg_path, tmp_path):
         code, out, _ = _run(capsys, ["config-dump", "--config", cfg_path])

@@ -3,7 +3,10 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cemkit import harness
 from cemkit import (
     ConfigError,
     ExperimentConfig,
@@ -31,6 +34,7 @@ from cemkit.harness import (
     sweep_to_csv,
     sweep_to_json,
 )
+from cemkit.memoryless import DELTA0_MODES, ESTIMATORS
 from cemkit.model import RngStream, elite_count
 from cemkit.objectives import make_objective
 
@@ -45,6 +49,63 @@ def _fast(**kw):
     )
     base.update(kw)
     return ExperimentConfig(**base)
+
+
+def _finite(lo, hi, **kw):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, **kw)
+
+
+def _maybe(strategy):
+    return st.none() | strategy
+
+
+@st.composite
+def _problems(draw):
+    kind = draw(st.sampled_from(["onemax", "leading_ones", "weighted_linear", "trap_k", "maxcut"]))
+    if kind == "trap_k":
+        k = draw(st.integers(2, 4))
+        return ProblemSpec(kind=kind, n=k * draw(st.integers(1, 3)), k=k)
+    if kind == "maxcut":
+        n = draw(st.integers(2, 8))
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        return ProblemSpec(kind=kind, n=n, edges=tuple(draw(st.lists(pairs, min_size=1, max_size=10))))
+    n = draw(st.integers(1, 12))
+    if kind == "weighted_linear":
+        weights = draw(st.lists(_finite(-1e6, 1e6), min_size=n, max_size=n))
+        return ProblemSpec(kind=kind, n=n, weights=tuple(weights))
+    return ProblemSpec(kind=kind, n=n)
+
+
+@st.composite
+def _configs(draw):
+    """Valid ExperimentConfigs of every variant (memoryless needs N*rho > 1)."""
+    estimator = draw(st.sampled_from(ESTIMATORS))
+    return ExperimentConfig(
+        problem=draw(_problems()),
+        variant=draw(st.sampled_from(["batch", "window", "memoryless"])),
+        N=draw(st.integers(20, 500)),
+        rho=draw(_finite(0.06, 0.95)),
+        alpha=draw(_finite(0.0, 1.0, exclude_min=True)),
+        T=draw(st.integers(1, 1000)),
+        K=draw(st.integers(1, 100_000)),
+        replicates=draw(st.integers(1, 1000)),
+        base_seed=draw(st.integers(0, 2**63)),
+        estimator=estimator,
+        beta=draw(_finite(0.0, 1.0)),
+        gamma0=draw(_maybe(_finite(-1e9, 1e9))),
+        delta0=draw(_finite(0.0, 1e3, exclude_min=True) if estimator == "constant"
+                    else _maybe(_finite(0.0, 1e3, exclude_min=True))),
+        delta0_mode=draw(st.sampled_from(DELTA0_MODES)),
+        delta_init=draw(_finite(0.0, 1e3)),
+        delta_min=draw(_finite(0.0, 1e3)),
+        eps_conv=draw(_maybe(_finite(0.0, 0.5, exclude_min=True, exclude_max=True))),
+        eps_binary=draw(_finite(0.0, 0.5, exclude_min=True, exclude_max=True)),
+        snapshot_stride=draw(_maybe(st.integers(1, 1000))),
+        alphas=draw(_maybe(st.lists(_finite(0.0, 1.0, exclude_min=True), min_size=1, max_size=4).map(tuple))),
+        jobs=draw(st.integers(1, 8)),
+        output_path=draw(_maybe(st.text(max_size=12))),
+        output_format=draw(st.sampled_from(["csv", "json"])),
+    )
 
 
 class TestParseConfig:
@@ -107,6 +168,39 @@ class TestParseConfig:
         )
         assert cfg.problem.edges == ((0, 1), (1, 2))
 
+    @pytest.mark.parametrize(
+        "patch, field",
+        [
+            ({"N": 100.7}, "N"),
+            ({"replicates": True}, "replicates"),
+            ({"T": "5"}, "T"),
+            ({"base_seed": 3.5}, "base_seed"),
+            ({"alphas": "0.5"}, "alphas"),
+            ({"N": None}, "N"),
+            ({"output": None}, "output"),
+            ({"problem": {"kind": "onemax", "n": 6.9}}, "n"),
+            ({"problem": {"kind": "maxcut", "n": 3, "edges": [[0, 1, 2]]}}, "edges"),
+            ({"problem": {"kind": "weighted_linear", "n": 2, "weights": "12"}}, "weights"),
+            ({"estimator": 3}, "estimator"),
+            ({"variant": "memoryless", "N": 20, "delta_init": float("nan")}, "delta_init"),
+            (
+                {"variant": "memoryless", "N": 20, "estimator": "constant", "delta0": float("nan")},
+                "delta0",
+            ),
+            ({"delta_min": float("inf")}, "delta_min"),
+        ],
+    )
+    def test_strict_coercion_names_the_field(self, patch, field):
+        # No silent int()/float() casts: a bool, a fractional or string
+        # number, a null or a non-finite float is an error naming the field.
+        with pytest.raises(ConfigError, match=f"^{field}:"):
+            parse_config({**ONEMAX6, **patch})
+
+    def test_whole_numbers_accepted(self):
+        cfg = parse_config({**ONEMAX6, "alpha": 1, "N": 100.0})
+        assert cfg.alpha == 1.0 and type(cfg.alpha) is float
+        assert cfg.N == 100 and type(cfg.N) is int
+
 
 class TestLoadConfig:
     def test_missing_file(self, tmp_path):
@@ -133,6 +227,12 @@ class TestConfigDict:
 
     def test_default_dump_is_parseable(self):
         assert parse_config(default_config_dict()).problem.kind == "onemax"
+
+    @settings(max_examples=60, deadline=None)
+    @given(cfg=_configs())
+    def test_round_trip_property(self, cfg):
+        assert parse_config(config_to_dict(cfg)) == cfg
+        assert parse_config(json.loads(json.dumps(config_to_dict(cfg)))) == cfg
 
     def test_batch_eps_conv_fallback(self):
         # Batch runs always stop on full absorption unless told otherwise.
@@ -230,6 +330,11 @@ class TestAlphaSweep:
         b = alpha_sweep(cfg, alphas=(0.7,))[0]
         assert a == b
 
+    def test_every_alpha_checked_before_running(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_experiment", _no_runs)
+        with pytest.raises(ConfigError, match="^alpha:"):
+            alpha_sweep(_fast(variant="window", K=200), alphas=(0.9, 1.5))
+
     def test_requires_grid_and_optimum(self):
         with pytest.raises(ConfigError, match="^alphas:"):
             alpha_sweep(_fast())
@@ -238,7 +343,17 @@ class TestAlphaSweep:
             alpha_sweep(no_opt, alphas=(0.5,))
 
 
+def _no_runs(*args, **kwargs):
+    raise AssertionError("a replicate ran before every cell was validated")
+
+
 class TestCompareVariants:
+    def test_every_variant_checked_before_running(self, monkeypatch):
+        # Batch and window accept N=5, rho=0.1; memoryless needs N > 1/rho.
+        monkeypatch.setattr(harness, "run_experiment", _no_runs)
+        with pytest.raises(ConfigError, match="^N:"):
+            compare_variants(_fast(N=5, rho=0.1, T=20, K=100))
+
     def test_budget_mismatch_refused(self):
         with pytest.raises(ConfigError, match="^K:"):
             compare_variants(_fast(T=5, N=20, K=999))
@@ -284,6 +399,18 @@ class TestSerialization:
             "0,42,batch,100,never,7.0,true,80,3,0\n"
         )
         assert results_to_csv([self.ROW]) == expect
+
+    def test_results_json_bytes(self):
+        # Byte-frozen: sorted keys, two-space indent, trailing newline.
+        expect = (
+            '{\n  "rows": [\n    {\n      "best_value": 7.0,\n'
+            '      "converged_binary": true,\n      "converged_step": 80,\n'
+            '      "envelope_violations": 0,\n      "first_hit": "never",\n'
+            '      "replicate": 0,\n      "seed": 42,\n      "sign_changes_total": 3,\n'
+            '      "steps": 100,\n      "variant": "batch"\n    }\n  ],\n'
+            '  "schema": "cemkit-results-v1"\n}\n'
+        )
+        assert results_to_json([self.ROW]) == expect
 
     def test_results_json(self):
         text = results_to_json([self.ROW])
