@@ -57,7 +57,7 @@ from .oracles import (
     exhaustive_success_prob,
     order_gap_mc,
 )
-from .trace import RunTrace, TraceRecorder, TraceSnapshot
+from .trace import RunTrace, SnapshotTable, TraceRecorder, TraceSnapshot
 from .window import OnlineConfig, SampleWindow, online_update, run_online_window, window_step
 
 __version__ = "0.1.0"
@@ -116,6 +116,7 @@ __all__ = [
     "exhaustive_success_prob",
     "order_gap_mc",
     "RunTrace",
+    "SnapshotTable",
     "TraceRecorder",
     "TraceSnapshot",
     "OnlineConfig",

@@ -22,6 +22,7 @@ from .model import (
     check_run_settings,
     elite_count,
     is_binary_converged,
+    non_finite_value,
 )
 from .trace import RunTrace, TraceRecorder
 
@@ -116,11 +117,16 @@ def batch_generation(
     """Draw N samples, pick the elite and produce the updated parameters.
 
     Sorting is by value descending with draw order breaking exact ties,
-    so a rerun with the same stream reproduces the same elite set.
+    so a rerun with the same stream reproduces the same elite set. A
+    non-finite objective value raises DomainError naming its draw.
     """
     n_b = elite_count(N, rho)
     bits = (rng.random((N, obj.n)) < params.probs).astype(np.uint8)
     values = obj.evaluate_many(bits)
+    finite = np.isfinite(values)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise non_finite_value("batch", draw_base + i, float(values[i]))
     order = np.lexsort((np.arange(N), -values))
     gamma = float(values[order[n_b - 1]])
     elite = [

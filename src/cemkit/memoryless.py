@@ -18,7 +18,14 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import ConfigError, DomainError
-from .model import BernoulliParams, Objective, RngStream, check_run_settings, elite_count
+from .model import (
+    BernoulliParams,
+    Objective,
+    RngStream,
+    check_run_settings,
+    elite_count,
+    non_finite_value,
+)
 from .normal import normal_ppf
 from .trace import RunTrace, TraceRecorder
 
@@ -231,7 +238,8 @@ def run_memoryless(config: MemorylessConfig, obj: Objective, rng: RngStream) -> 
     Per sample: draw and evaluate, decide elite by f >= gamma, move the
     parameters on elite and gamma either way, then feed the value to the
     delta estimator. State is a handful of scalars plus the parameter
-    vector, independent of N and K.
+    vector, independent of N and K. A non-finite objective value raises
+    DomainError naming its draw.
     """
     params0 = config.p0 if config.p0 is not None else BernoulliParams.uniform_init(obj.n)
     if params0.n != obj.n:
@@ -264,6 +272,8 @@ def run_memoryless(config: MemorylessConfig, obj: Objective, rng: RngStream) -> 
     for t in range(config.K):
         bits = (rng.random(n) < probs).astype(np.uint8)
         value = float(fn(bits))
+        if not math.isfinite(value):
+            raise non_finite_value("memoryless", t, value)
         if gamma is None:
             gamma = value
         recorder.offer_best(bits, value, t)

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import ConfigError, DimensionError, DomainError
 
 __all__ = [
     "BernoulliParams",
@@ -25,6 +25,7 @@ __all__ = [
     "is_binary_converged",
     "elite_count",
     "check_run_settings",
+    "non_finite_value",
     "negated",
 ]
 
@@ -200,3 +201,10 @@ def check_run_settings(cfg, budget: str) -> None:
     stride = getattr(cfg, "snapshot_stride", None)
     if stride is not None and stride < 1:
         raise ConfigError(f"snapshot_stride: must be >= 1, got {stride}")
+
+
+def non_finite_value(variant: str, draw_index: int, value: float) -> DomainError:
+    """The error an engine raises when the objective returns NaN or an infinity."""
+    return DomainError(
+        f"{variant}: objective returned the non-finite value {value!r} at draw {draw_index}"
+    )

@@ -7,18 +7,24 @@ and a step boundary was reached (candidate for a snapshot).
 
 Step counts are always in units of objective evaluations, so traces from
 batch and online runs with equal budgets line up point for point.
+
+Snapshots are stored by column (SnapshotTable): the parameter vectors
+and sign-change counts of a run form two (S, n) arrays, so diagnostics
+check a whole run with a few array operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+import copy
+from collections.abc import Sequence
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Union
 
 import numpy as np
 
 from .model import BernoulliParams, EvaluatedSample
 
-__all__ = ["TraceSnapshot", "RunTrace", "TraceRecorder"]
+__all__ = ["TraceSnapshot", "SnapshotTable", "RunTrace", "TraceRecorder"]
 
 # A sample counts as hitting the optimum when its value is within this
 # tolerance of the known optimal value.
@@ -39,6 +45,101 @@ class TraceSnapshot:
     elite_decisions: int
 
 
+# Rows a new SnapshotTable allocates; it doubles whenever they are used up.
+_FIRST_ROWS = 64
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class SnapshotTable(Sequence[TraceSnapshot]):
+    """The snapshots of one run, stored by column.
+
+    params and sign_changes hold one row per snapshot in (S, n) float64
+    and int64 arrays grown by doubling; the scalar fields are plain
+    lists, so None stays None. Items are TraceSnapshots whose arrays are
+    read-only views of one row. A RunTrace holds the sealed() form:
+    arrays trimmed to S rows, scalar columns as tuples.
+    """
+
+    def __init__(self, n: int):
+        self._params = np.empty((_FIRST_ROWS, n))
+        self._sign_changes = np.empty((_FIRST_ROWS, n), dtype=np.int64)
+        self.step: List[int] = []
+        self.gamma: List[Optional[float]] = []
+        self.delta: List[Optional[float]] = []
+        self.best_value: List[Optional[float]] = []
+        self.update_count: List[int] = []
+        self.elite_decisions: List[int] = []
+
+    def __len__(self) -> int:
+        return len(self.step)
+
+    @property
+    def params(self) -> np.ndarray:
+        """(S, n) parameter vectors, read-only."""
+        return _read_only(self._params[: len(self.step)])
+
+    @property
+    def sign_changes(self) -> np.ndarray:
+        """(S, n) cumulative sign-change counts, read-only."""
+        return _read_only(self._sign_changes[: len(self.step)])
+
+    def _columns(self) -> tuple:
+        # In TraceSnapshot field order.
+        return (
+            self.step, self.params, self.gamma, self.delta, self.best_value,
+            self.update_count, self.sign_changes, self.elite_decisions,
+        )
+
+    def __getitem__(self, i: Union[int, slice]):
+        if isinstance(i, slice):
+            return [self[j] for j in range(*i.indices(len(self)))]
+        i = range(len(self.step))[i]
+        return TraceSnapshot(*(column[i] for column in self._columns()))
+
+    def __iter__(self) -> Iterator[TraceSnapshot]:
+        return (TraceSnapshot(*row) for row in zip(*self._columns()))
+
+    def append(
+        self,
+        step: int,
+        params: np.ndarray,
+        gamma: Optional[float],
+        delta: Optional[float],
+        best_value: Optional[float],
+        update_count: int,
+        sign_changes: np.ndarray,
+        elite_decisions: int,
+    ) -> None:
+        """Copy one snapshot into the next row."""
+        i = len(self.step)
+        if i == len(self._params):
+            self._params = np.concatenate((self._params, np.empty_like(self._params)))
+            self._sign_changes = np.concatenate(
+                (self._sign_changes, np.empty_like(self._sign_changes))
+            )
+        self._params[i] = params
+        self._sign_changes[i] = sign_changes
+        self.step.append(step)
+        self.gamma.append(gamma)
+        self.delta.append(delta)
+        self.best_value.append(best_value)
+        self.update_count.append(update_count)
+        self.elite_decisions.append(elite_decisions)
+
+    def sealed(self) -> "SnapshotTable":
+        """Trimmed read-only copy; later appends to this table do not reach it."""
+        out = copy.copy(self)
+        out._params = _read_only(self.params.copy())
+        out._sign_changes = _read_only(self.sign_changes.copy())
+        for name in ("step", "gamma", "delta", "best_value", "update_count", "elite_decisions"):
+            setattr(out, name, tuple(getattr(self, name)))
+        return out
+
+
 @dataclass
 class RunTrace:
     """Complete record of one optimizer run."""
@@ -56,7 +157,7 @@ class RunTrace:
     best: Optional[EvaluatedSample]
     first_hit_step: Optional[int]
     gamma_final: Optional[float]
-    snapshots: List[TraceSnapshot] = field(default_factory=list)
+    snapshots: SnapshotTable
 
     @property
     def final_params(self) -> BernoulliParams:
@@ -94,23 +195,22 @@ class TraceRecorder:
         self.optimal_value = optimal_value
 
         self._params = params0.probs.copy()
-        self._last_sign = np.zeros(params0.n, dtype=np.int8)
+        # Sign (-1.0, 0.0 or 1.0) of each component's last nonzero step.
+        self._last_sign = np.zeros(params0.n)
         self.sign_changes = np.zeros(params0.n, dtype=np.int64)
         self.update_count = 0
         self.elite_decisions = 0
         self.best: Optional[EvaluatedSample] = None
         self.first_hit_step: Optional[int] = None
-        self._snapshots: List[TraceSnapshot] = []
+        self._snapshots = SnapshotTable(params0.n)
         self._snapshot(step=0, gamma=None, delta=None)
 
     def update_applied(self, new_params: np.ndarray, elites: int = 1) -> None:
         """Record one parameter update covering `elites` elite samples."""
-        diff = new_params - self._params
-        sign = np.sign(diff).astype(np.int8)
-        moved = sign != 0
-        changed = moved & (self._last_sign != 0) & (sign != self._last_sign)
-        self.sign_changes[changed] += 1
-        self._last_sign[moved] = sign[moved]
+        sign = np.sign(new_params - self._params)
+        # Opposite nonzero signs multiply to -1; a zero on either side gives 0.
+        self.sign_changes += sign * self._last_sign < 0.0
+        np.copyto(self._last_sign, sign, where=sign != 0.0)
         self._params[:] = new_params
         self.update_count += 1
         self.elite_decisions += elites
@@ -132,21 +232,19 @@ class TraceRecorder:
 
     def _snapshot(self, step: int, gamma: Optional[float], delta: Optional[float]) -> None:
         self._snapshots.append(
-            TraceSnapshot(
-                step=step,
-                params=self._params.copy(),
-                gamma=gamma,
-                delta=delta,
-                best_value=None if self.best is None else self.best.value,
-                update_count=self.update_count,
-                sign_changes=self.sign_changes.copy(),
-                elite_decisions=self.elite_decisions,
-            )
+            step,
+            self._params,
+            gamma,
+            delta,
+            None if self.best is None else self.best.value,
+            self.update_count,
+            self.sign_changes,
+            self.elite_decisions,
         )
 
     def finish(self, steps: int, gamma: Optional[float], delta: Optional[float]) -> RunTrace:
-        """Seal the recorder into an immutable-by-convention RunTrace."""
-        if self._snapshots[-1].step != steps:
+        """Seal the recorder into a RunTrace with its own read-only snapshots."""
+        if self._snapshots.step[-1] != steps:
             self._snapshot(steps, gamma, delta)
         return RunTrace(
             variant=self.variant,
@@ -162,5 +260,5 @@ class TraceRecorder:
             best=self.best,
             first_hit_step=self.first_hit_step,
             gamma_final=gamma,
-            snapshots=self._snapshots,
+            snapshots=self._snapshots.sealed(),
         )

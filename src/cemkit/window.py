@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
+from math import isfinite
 from typing import Deque, List, Optional, Tuple
 
 import numpy as np
@@ -24,6 +25,7 @@ from .model import (
     RngStream,
     check_run_settings,
     elite_count,
+    non_finite_value,
 )
 from .trace import RunTrace, TraceRecorder
 
@@ -136,7 +138,10 @@ def window_step(
 
 
 def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> RunTrace:
-    """Run K per-sample steps of the sliding-window variant."""
+    """Run K per-sample steps of the sliding-window variant.
+
+    A non-finite objective value raises DomainError naming its draw.
+    """
     params0 = config.p0 if config.p0 is not None else BernoulliParams.uniform_init(obj.n)
     if params0.n != obj.n:
         raise ConfigError(f"p0: dimension {params0.n} does not match objective dimension {obj.n}")
@@ -163,7 +168,10 @@ def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> R
     steps = 0
     for t in range(config.K):
         bits = (rng.random(n) < probs).astype(np.uint8)
-        sample = EvaluatedSample(bits=bits, value=float(fn(bits)), draw_index=t)
+        value = float(fn(bits))
+        if not isfinite(value):
+            raise non_finite_value("window", t, value)
+        sample = EvaluatedSample(bits=bits, value=value, draw_index=t)
         window.append(sample)
         g, is_elite = window_step(window, sample, config.rho)
         if g is not None:

@@ -149,3 +149,27 @@ def test_sign_changes_stabilize_at_doubling_horizons():
         stable += int(np.sum(counts[5000] == counts[2500]))
         total += 10
     assert stable >= 0.99 * total
+
+
+def test_sign_changes_match_scalar_rule_over_random_updates():
+    # Per component, in plain Python: a nonzero step whose sign differs
+    # from the previous nonzero step's counts; zero steps are ignored.
+    rng = np.random.default_rng(17)
+    n = 6
+    rec = _recorder(np.full(n, 0.5))
+    p = np.full(n, 0.5)
+    last = [0] * n
+    counts = [0] * n
+    for _ in range(500):
+        new = p.copy()
+        moving = rng.random(n) < 0.6
+        new[moving] = rng.uniform(size=int(moving.sum()))
+        rec.update_applied(new)
+        for i in range(n):
+            s = int(new[i] > p[i]) - int(new[i] < p[i])
+            if s:
+                counts[i] += last[i] != 0 and s != last[i]
+                last[i] = s
+        p = new
+    assert rec.sign_changes.tolist() == counts
+    assert rec.sign_changes.dtype == np.int64
