@@ -133,37 +133,49 @@ def analyze(trace: RunTrace, obj: Objective, eps_binary: float = 1e-3) -> Conver
     component sits within eps_binary of 0 or 1). Optimum-related fields
     are None when the objective carries no optimum metadata.
 
-    All snapshots are checked at once on the trace's (S, n) parameter
-    block; param_envelope and phi are the per-snapshot specification
-    these array operations reproduce exactly.
+    Snapshots are checked by array operations on the trace's blocks of
+    parameter rows, about 2^16 values at a time; param_envelope and phi are the
+    per-snapshot specification these operations reproduce exactly.
     """
     if not 0.0 < eps_binary < 0.5:
         raise ValueError(f"eps_binary must be in (0,0.5), got {eps_binary}")
     if not 0.0 < trace.alpha1 <= 1.0:
         raise ValueError(f"alpha1 must be in (0,1], got {trace.alpha1}")
     snaps = trace.snapshots
-    p = snaps.params
-
-    # The band of param_envelope for every snapshot at once. The shrink
-    # factor is Python's ** (as in param_envelope), once per update count.
-    shrink_of = {u: (1.0 - trace.alpha1) ** u for u in set(snaps.update_count)}
-    shrink = np.array([shrink_of[u] for u in snaps.update_count])[:, None]
-    lo = trace.p0.probs * shrink
-    hi = lo + (1.0 - shrink)
-    violations = int(np.count_nonzero((p < lo - ENVELOPE_TOL) | (p > hi + ENVELOPE_TOL)))
-    absorbed = np.all((p <= eps_binary) | (p >= 1.0 - eps_binary), axis=1)
-    converged_step = snaps.step[int(absorbed.argmax())] if absorbed.any() else None
-
     optimum_known = obj.optimal_bits is not None and obj.optimal_value is not None
-    phi_series: Optional[List[Tuple[int, float]]] = None
-    miss_bound: Optional[float] = None
-    optimum_generated: Optional[bool] = None
     if optimum_known:
         x_star = np.asarray(obj.optimal_bits)
         if x_star.shape != (trace.n,):
             raise DimensionError(f"target of length {x_star.size}, params of length {trace.n}")
-        phis = np.prod(np.where(x_star == 1, p, 1.0 - p), axis=1)
-        phi_series = list(zip(snaps.step, phis.tolist()))
+
+    # The band of param_envelope for every snapshot. The shrink factor
+    # is Python's ** (as in param_envelope), once per update count.
+    shrink_of = {u: (1.0 - trace.alpha1) ** u for u in set(snaps.update_count)}
+    shrink = np.array([shrink_of[u] for u in snaps.update_count])[:, None]
+    violations = 0
+    first_absorbed: Optional[int] = None
+    phis: List[float] = []
+    # One storage block at a time bounds the scratch memory of long traces.
+    start = 0
+    for p in snaps.param_blocks():
+        s = shrink[start : start + len(p)]
+        lo = trace.p0.probs * s
+        hi = lo + (1.0 - s)
+        violations += int(np.count_nonzero((p < lo - ENVELOPE_TOL) | (p > hi + ENVELOPE_TOL)))
+        if first_absorbed is None:
+            absorbed = np.all((p <= eps_binary) | (p >= 1.0 - eps_binary), axis=1)
+            if absorbed.any():
+                first_absorbed = start + int(absorbed.argmax())
+        if optimum_known:
+            phis += np.prod(np.where(x_star == 1, p, 1.0 - p), axis=1).tolist()
+        start += len(p)
+    converged_step = None if first_absorbed is None else snaps.step[first_absorbed]
+
+    phi_series: Optional[List[Tuple[int, float]]] = None
+    miss_bound: Optional[float] = None
+    optimum_generated: Optional[bool] = None
+    if optimum_known:
+        phi_series = list(zip(snaps.step, phis))
         phi1 = phi_series[0][1]
         if phi1 > 0.0:
             if trace.alpha1 >= 1.0:

@@ -148,7 +148,7 @@ def make_objective(spec: ProblemSpec) -> Objective:
             .astype(np.float64),
         )
         if n <= _ENUM_MAX_N:
-            bits, value = enumerate_optimum(obj)
+            bits, value = _maxcut_optimum(n, edges)
             obj = Objective(
                 name=obj.name,
                 n=n,
@@ -184,6 +184,42 @@ def _bit_rows(n: int, start: int, count: int) -> np.ndarray:
     ints = np.arange(start, start + count, dtype=np.uint64)[:, None]
     shifts = np.arange(n - 1, -1, -1, dtype=np.uint64)[None, :]
     return ((ints >> shifts) & np.uint64(1)).astype(np.uint8)
+
+
+def _maxcut_optimum(n: int, edges: np.ndarray) -> Tuple[np.ndarray, float]:
+    """enumerate_optimum for a cut, without evaluating 2^n rows.
+
+    A cut counts x_u + x_v - 2 x_u x_v over the edges. Split x into its
+    leading bits h and trailing bits l: the cut of every x is then
+    own(h) + own(l) - 2 h.M.l, with M the edge counts between the
+    halves, so the 2^n values come from two 2^(n/2)-row tables. Every
+    term is a small integer, so the values are exact and the first
+    maximum of the row-major (h, l) table is the lexicographically
+    smallest maximizer.
+    """
+    m = n - n // 2  # leading bits
+    counts = np.zeros((n, n))  # counts[u, v]: edges {u, v} with u < v
+    np.add.at(counts, (edges.min(axis=1), edges.max(axis=1)), 1.0)
+    degree = counts.sum(axis=0) + counts.sum(axis=1)
+
+    def own(bits, part):
+        return bits @ degree[part] - 2.0 * ((bits @ counts[part, part]) * bits).sum(axis=1)
+
+    lead = _bit_rows(m, 0, 1 << m).astype(np.float64)
+    trail = _bit_rows(n - m, 0, 1 << (n - m)).astype(np.float64)
+    own_lead, own_trail = own(lead, slice(0, m)), own(trail, slice(m, n))
+    cross = -2.0 * (lead @ counts[:m, m:])
+    rows = max(1, _ENUM_CHUNK >> (n - m))
+    best_value = -np.inf
+    best_index = 0
+    for start in range(0, len(lead), rows):
+        block = own_lead[start : start + rows, None] + own_trail
+        block += cross[start : start + rows] @ trail.T
+        local = int(np.argmax(block))
+        if block.flat[local] > best_value:
+            best_value = float(block.flat[local])
+            best_index = (start << (n - m)) + local
+    return _bit_rows(n, best_index, 1)[0], best_value
 
 
 def enumerate_optimum(obj: Objective) -> Tuple[np.ndarray, float]:

@@ -9,16 +9,16 @@ Step counts are always in units of objective evaluations, so traces from
 batch and online runs with equal budgets line up point for point.
 
 Snapshots are stored by column (SnapshotTable): the parameter vectors
-and sign-change counts of a run form two (S, n) arrays, so diagnostics
-check a whole run with a few array operations.
+and sign-change counts of a run are the rows of fixed-size arrays, so
+diagnostics check a run with a few array operations per block.
 """
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Union
+from itertools import chain
+from typing import Iterator, List, Optional
 
 import numpy as np
 
@@ -45,8 +45,11 @@ class TraceSnapshot:
     elite_decisions: int
 
 
-# Rows a new SnapshotTable allocates; it doubles whenever they are used up.
-_FIRST_ROWS = 64
+# Parameter values per storage block of a SnapshotTable (whole
+# snapshots, at least one). Blocks are added as they fill and never
+# move, so appending a snapshot never copies the earlier ones.
+_BLOCK_VALUES = 1 << 16
+_SCALAR_COLUMNS = ("step", "gamma", "delta", "best_value", "update_count", "elite_decisions")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -57,16 +60,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class SnapshotTable(Sequence[TraceSnapshot]):
     """The snapshots of one run, stored by column.
 
-    params and sign_changes hold one row per snapshot in (S, n) float64
-    and int64 arrays grown by doubling; the scalar fields are plain
-    lists, so None stays None. Items are TraceSnapshots whose arrays are
-    read-only views of one row. A RunTrace holds the sealed() form:
-    arrays trimmed to S rows, scalar columns as tuples.
+    Parameter vectors and cumulative sign-change counts are the rows of
+    float64 and int64 blocks of block_rows snapshots each (about 2^16
+    values); the scalar fields are plain lists, so None stays None.
+    Items are TraceSnapshots whose arrays are read-only views of one
+    row. A RunTrace holds the sealed() form: read-only views of the
+    filled rows, scalar columns as tuples.
     """
 
     def __init__(self, n: int):
-        self._params = np.empty((_FIRST_ROWS, n))
-        self._sign_changes = np.empty((_FIRST_ROWS, n), dtype=np.int64)
+        self.block_rows = max(1, _BLOCK_VALUES // n)
+        self._params: List[np.ndarray] = []
+        self._sign_changes: List[np.ndarray] = []
         self.step: List[int] = []
         self.gamma: List[Optional[float]] = []
         self.delta: List[Optional[float]] = []
@@ -77,31 +82,31 @@ class SnapshotTable(Sequence[TraceSnapshot]):
     def __len__(self) -> int:
         return len(self.step)
 
-    @property
-    def params(self) -> np.ndarray:
-        """(S, n) parameter vectors, read-only."""
-        return _read_only(self._params[: len(self.step)])
+    def _filled(self, blocks: List[np.ndarray]) -> List[np.ndarray]:
+        # Read-only views of the rows written so far.
+        return [_read_only(b[: len(self) - k * self.block_rows]) for k, b in enumerate(blocks)]
 
-    @property
-    def sign_changes(self) -> np.ndarray:
-        """(S, n) cumulative sign-change counts, read-only."""
-        return _read_only(self._sign_changes[: len(self.step)])
+    def param_blocks(self) -> List[np.ndarray]:
+        """The (S, n) parameter vectors as consecutive read-only blocks of rows."""
+        return self._filled(self._params)
 
-    def _columns(self) -> tuple:
-        # In TraceSnapshot field order.
-        return (
-            self.step, self.params, self.gamma, self.delta, self.best_value,
-            self.update_count, self.sign_changes, self.elite_decisions,
+    def __getitem__(self, i: int) -> TraceSnapshot:
+        i = range(len(self.step))[i]
+        k, r = divmod(i, self.block_rows)
+        return TraceSnapshot(
+            self.step[i], _read_only(self._params[k][r]), self.gamma[i], self.delta[i],
+            self.best_value[i], self.update_count[i], _read_only(self._sign_changes[k][r]),
+            self.elite_decisions[i],
         )
 
-    def __getitem__(self, i: Union[int, slice]):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self)))]
-        i = range(len(self.step))[i]
-        return TraceSnapshot(*(column[i] for column in self._columns()))
-
     def __iter__(self) -> Iterator[TraceSnapshot]:
-        return (TraceSnapshot(*row) for row in zip(*self._columns()))
+        params = chain.from_iterable(self._filled(self._params))
+        signs = chain.from_iterable(self._filled(self._sign_changes))
+        columns = (
+            self.step, params, self.gamma, self.delta, self.best_value,
+            self.update_count, signs, self.elite_decisions,
+        )
+        return (TraceSnapshot(*row) for row in zip(*columns))
 
     def append(
         self,
@@ -115,14 +120,12 @@ class SnapshotTable(Sequence[TraceSnapshot]):
         elite_decisions: int,
     ) -> None:
         """Copy one snapshot into the next row."""
-        i = len(self.step)
-        if i == len(self._params):
-            self._params = np.concatenate((self._params, np.empty_like(self._params)))
-            self._sign_changes = np.concatenate(
-                (self._sign_changes, np.empty_like(self._sign_changes))
-            )
-        self._params[i] = params
-        self._sign_changes[i] = sign_changes
+        k, r = divmod(len(self.step), self.block_rows)
+        if r == 0:
+            self._params.append(np.empty((self.block_rows, params.size)))
+            self._sign_changes.append(np.empty((self.block_rows, params.size), dtype=np.int64))
+        self._params[k][r] = params
+        self._sign_changes[k][r] = sign_changes
         self.step.append(step)
         self.gamma.append(gamma)
         self.delta.append(delta)
@@ -131,11 +134,15 @@ class SnapshotTable(Sequence[TraceSnapshot]):
         self.elite_decisions.append(elite_decisions)
 
     def sealed(self) -> "SnapshotTable":
-        """Trimmed read-only copy; later appends to this table do not reach it."""
-        out = copy.copy(self)
-        out._params = _read_only(self.params.copy())
-        out._sign_changes = _read_only(self.sign_changes.copy())
-        for name in ("step", "gamma", "delta", "best_value", "update_count", "elite_decisions"):
+        """Read-only views of the filled rows and tuple columns of this table.
+
+        No data is copied: a row is written once, so later appends here
+        never reach the sealed table.
+        """
+        out = SnapshotTable.__new__(SnapshotTable)
+        out.block_rows = self.block_rows
+        out._params, out._sign_changes = self.param_blocks(), self._filled(self._sign_changes)
+        for name in _SCALAR_COLUMNS:
             setattr(out, name, tuple(getattr(self, name)))
         return out
 

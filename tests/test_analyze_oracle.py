@@ -4,7 +4,8 @@ The oracle walks the snapshots one by one with the scalar specification:
 param_envelope for the band at each snapshot's update count, phi for
 each snapshot's chance of drawing the optimum, and the first snapshot
 whose every component is within eps_binary of 0 or 1. Every field must
-come out equal, not merely close.
+come out equal, not merely close, also when the trace is stored in
+many blocks of rows.
 """
 
 import numpy as np
@@ -28,6 +29,7 @@ from cemkit import (
     run_memoryless,
     run_online_window,
 )
+from cemkit import trace as trace_module
 from cemkit.diagnostics import ENVELOPE_TOL
 
 
@@ -70,6 +72,15 @@ OBJECTIVES = {
 }
 
 
+@pytest.fixture
+def block_size(request, monkeypatch):
+    """Parameter values per storage block; None keeps the default (one
+    block here)."""
+    if request.param is not None:
+        monkeypatch.setattr(trace_module, "_BLOCK_VALUES", request.param)
+    return request.param
+
+
 def _run(variant, stride, obj, rng):
     if variant == "batch":
         return run_batch(BatchConfig(N=30, rho=0.1, alpha=0.7, T=40, eps_conv=None), obj, rng)
@@ -80,12 +91,13 @@ def _run(variant, stride, obj, rng):
     return engine(cls(N=30, rho=0.1, alpha=0.7, K=1200, snapshot_stride=stride), obj, rng)
 
 
+@pytest.mark.parametrize("block_size", [None, 999], indirect=True)
 @pytest.mark.parametrize("problem", sorted(OBJECTIVES))
 @pytest.mark.parametrize(
     "variant, stride",
     [("batch", None)] + [(v, k) for k in (1, 7, None) for v in ("window", "memoryless")],
 )
-def test_engine_traces_match_oracle(problem, variant, stride):
+def test_engine_traces_match_oracle(problem, variant, stride, block_size):
     obj = make_objective(OBJECTIVES[problem])
     trace = _run(variant, stride, obj, RngStream(21))
     assert trace.variant == variant
@@ -94,7 +106,8 @@ def test_engine_traces_match_oracle(problem, variant, stride):
     _assert_matches_oracle(trace, obj)
 
 
-def test_hand_built_trace_with_violations_and_late_absorption():
+@pytest.mark.parametrize("block_size", [None, 1, 20], indirect=True)
+def test_hand_built_trace_with_violations_and_late_absorption(block_size):
     obj = make_objective(ProblemSpec(kind="onemax", n=4))
     p0 = BernoulliParams(np.array([0.5, 0.3, 0.7, 0.5]))
     alpha1 = 0.2

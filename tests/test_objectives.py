@@ -110,6 +110,20 @@ class TestMaxCut:
         assert obj.optimal_value == 2.0
         assert obj(obj.optimal_bits) == 2.0
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 11, 17])
+    def test_metadata_equals_full_scan(self, n):
+        # Every cut ties with its complement, so this also checks that
+        # the lexicographically smallest maximizer is kept. Repeated and
+        # reversed edges count as often as they are listed; n=17 spans
+        # several blocks of the split table.
+        rng = np.random.default_rng(n)
+        for _ in range(4):
+            pairs = [tuple(int(v) for v in rng.choice(n, 2, replace=False)) for _ in range(2 * n)]
+            obj = make_objective(ProblemSpec(kind="maxcut", n=n, edges=tuple(pairs)))
+            bits, value = enumerate_optimum(obj)
+            assert np.array_equal(obj.optimal_bits, bits)
+            assert obj.optimal_value == value
+
     def test_large_n_skips_enumeration(self):
         obj = make_objective(ProblemSpec(kind="maxcut", n=26, edges=((0, 25),)))
         assert obj.optimal_bits is None and obj.optimal_value is None

@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from cemkit import BernoulliParams, SnapshotTable, TraceRecorder, TraceSnapshot
-from cemkit.trace import _FIRST_ROWS
+from cemkit import trace as trace_module
 
 FIELDS = ("step", "gamma", "delta", "best_value", "update_count", "elite_decisions")
+
+
+@pytest.fixture(autouse=True)
+def small_blocks(monkeypatch):
+    """Four snapshots per block at n=3, so short runs span many blocks."""
+    monkeypatch.setattr(trace_module, "_BLOCK_VALUES", 12)
 
 
 def _recorder(p0, stride=1):
@@ -50,7 +56,7 @@ def _assert_same(got, want):
 
 
 @pytest.mark.parametrize("stride", [1, 3])
-def test_recorder_matches_snapshot_list_past_initial_capacity(stride):
+def test_recorder_matches_snapshot_list_across_blocks(stride):
     rec = _recorder([0.5, 0.2, 0.9], stride=stride)
     expected, params = _drive(rec, 400, np.random.default_rng(1))
     trace = rec.finish(400, gamma=1.0, delta=None)
@@ -58,31 +64,34 @@ def test_recorder_matches_snapshot_list_past_initial_capacity(stride):
         expected.append(TraceSnapshot(400, params, 1.0, None, rec.best.value, rec.update_count,
                                       rec.sign_changes.copy(), rec.elite_decisions))
     snaps = trace.snapshots
-    assert len(snaps) == len(expected) > 2 * _FIRST_ROWS
+    assert snaps.block_rows == 4 and len(snaps) == len(expected) > 100
     for got, want in zip(snaps, expected):
         _assert_same(got, want)
     _assert_same(snaps[-1], expected[-1])
     _assert_same(snaps[-len(expected)], expected[0])
     assert [s.step for s in snaps] == [s.step for s in expected]
     assert snaps.step == tuple(s.step for s in expected)
-    assert np.array_equal(snaps.params, np.stack([s.params for s in expected]))
+    assert np.array_equal(np.concatenate(snaps.param_blocks()), np.stack([s.params for s in expected]))
     assert np.array_equal(trace.final_params.probs, expected[-1].params)
     with pytest.raises(IndexError):
         snaps[len(expected)]
 
 
-def test_table_grows_and_keeps_every_row():
-    count = 4 * _FIRST_ROWS + 1
-    table = SnapshotTable(2)
-    rows = [np.array([i, -i], dtype=float) for i in range(count)]
+def test_table_adds_blocks_and_keeps_every_row():
+    count = 4 * 6 + 1
+    table = SnapshotTable(3)
+    rows = [np.array([i, -i, 0.5], dtype=float) for i in range(count)]
     for i, row in enumerate(rows):
-        table.append(i, row, None, float(i), None, i, np.array([i, 2 * i]), 3 * i)
+        table.append(i, row, None, float(i), None, i, np.array([i, 2 * i, 0]), 3 * i)
     assert len(table) == count
-    assert np.array_equal(table.params, np.stack(rows))
-    assert np.array_equal(table.sign_changes[:, 1], 2 * np.arange(count))
+    blocks = table.param_blocks()
+    assert [len(b) for b in blocks] == [4] * 6 + [1]
+    assert np.array_equal(np.concatenate(blocks), np.stack(rows))
+    assert [s.sign_changes[1] for s in table] == [2 * i for i in range(count)]
     assert [s.delta for s in table] == [float(i) for i in range(count)]
     assert table[-1].gamma is None and table[-1].elite_decisions == 3 * (count - 1)
-    assert [s.step for s in table[2:5]] == [2, 3, 4]
+    assert table[5].step == 5 and table[-count].best_value is None
+    assert np.array_equal(table[9].params, rows[9])
 
 
 def test_sealed_arrays_are_read_only():
@@ -96,17 +105,17 @@ def test_sealed_arrays_are_read_only():
     with pytest.raises(ValueError):
         first.sign_changes[0] = 5
     with pytest.raises(ValueError):
-        trace.snapshots.params[1, 1] = 0.0
+        trace.snapshots.param_blocks()[0][1, 1] = 0.0
     assert np.array_equal(first.params, [0.5, 0.5])
 
 
-def test_live_rows_are_read_only_and_survive_growth():
+def test_live_rows_are_read_only_and_survive_new_blocks():
     rec = _recorder([0.5])
     rec.maybe_snapshot(1, gamma=None, delta=None)
     early = rec._snapshots[0]
     with pytest.raises(ValueError):
         early.params[0] = 0.1
-    for step in range(2, 3 * _FIRST_ROWS):
+    for step in range(2, 200):
         rec.update_applied(np.array([step / 300]))
         rec.maybe_snapshot(step, gamma=None, delta=None)
     assert early.params[0] == 0.5
@@ -120,6 +129,7 @@ def test_sealed_trace_ignores_later_recording():
     trace = rec.finish(1, gamma=2.0, delta=None)
     before = [(s.step, s.gamma, s.update_count, s.params.copy(), s.sign_changes.copy())
               for s in trace.snapshots]
+    blocks_before = [b.copy() for b in trace.snapshots.param_blocks()]
     for step in range(2, 200):
         rec.update_applied(np.array([0.6, 0.4]) if step % 2 else np.array([0.5, 0.5]))
         rec.maybe_snapshot(step, gamma=float(step), delta=1.0)
@@ -131,3 +141,6 @@ def test_sealed_trace_ignores_later_recording():
         assert np.array_equal(snap.params, params)
         assert np.array_equal(snap.sign_changes, signs)
     assert trace.final_params.probs.tolist() == [0.6, 0.4]
+    blocks_after = trace.snapshots.param_blocks()
+    assert len(blocks_after) == len(blocks_before) == 1
+    assert np.array_equal(blocks_after[0], blocks_before[0])
