@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .model import (
     BernoulliParams,
+    BlockSampler,
     Objective,
     RngStream,
     check_run_settings,
@@ -235,9 +236,10 @@ class MemorylessConfig:
 def run_memoryless(config: MemorylessConfig, obj: Objective, rng: RngStream) -> RunTrace:
     """Run K per-sample steps of the memoryless variant.
 
-    Per sample: draw and evaluate, decide elite by f >= gamma, move the
-    parameters on elite and gamma either way, then feed the value to the
-    delta estimator. State is a handful of scalars plus the parameter
+    Per sample: draw (from a BlockSampler, the same bits as one draw
+    per step) and evaluate with obj.fn, decide elite by f >= gamma,
+    move the parameters on elite and gamma either way, then feed the
+    value to the delta estimator. State is a handful of scalars plus the parameter
     vector, independent of N and K. A non-finite objective value raises
     DomainError naming its draw.
     """
@@ -258,7 +260,6 @@ def run_memoryless(config: MemorylessConfig, obj: Objective, rng: RngStream) -> 
     )
     probs = params0.probs.copy()
     fn = obj.fn
-    n = obj.n
     rho = config.rho
     eps = config.eps_conv
     ewma = config.estimator != "constant"
@@ -268,9 +269,11 @@ def run_memoryless(config: MemorylessConfig, obj: Objective, rng: RngStream) -> 
     gamma = config.gamma0
     delta = delta0 if config.estimator == "constant" else config.delta_init
     prev_value: Optional[float] = None
+    sampler = BlockSampler(rng, probs, config.K)
+    next_bits = sampler.next
     steps = 0
     for t in range(config.K):
-        bits = (rng.random(n) < probs).astype(np.uint8)
+        bits = next_bits()
         value = float(fn(bits))
         if not math.isfinite(value):
             raise non_finite_value("memoryless", t, value)
@@ -280,6 +283,7 @@ def run_memoryless(config: MemorylessConfig, obj: Objective, rng: RngStream) -> 
         if value >= gamma:
             is_elite = True
             probs = (1.0 - alpha1) * probs + alpha1 * bits
+            sampler.set_probs(probs)
             recorder.update_applied(probs)
             gamma = gamma + (1.0 - rho) * delta
         else:

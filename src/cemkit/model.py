@@ -20,6 +20,7 @@ __all__ = [
     "EvaluatedSample",
     "Objective",
     "RngStream",
+    "BlockSampler",
     "draw_sample",
     "evaluate",
     "is_binary_converged",
@@ -77,11 +78,15 @@ class EvaluatedSample:
 class Objective:
     """Deterministic evaluator on {0,1}^n, with optional known-optimum metadata.
 
-    `fn` maps a single bit vector to a float. `batch_fn`, when present,
-    maps an (m, n) uint8 matrix to an (m,) float vector and must agree
-    with `fn` row by row; engines and brute-force scans use it as a fast
-    path. Optimum metadata enables hit-rate diagnostics and is absent for
-    problems whose optimum is not known.
+    `fn` maps a single bit vector to a float; the online engines call it
+    once per sample. `batch_fn`, when present, maps an (m, n) uint8
+    matrix to an (m,) float vector; the batch engine and brute-force
+    scans use it as a fast path. The two agree row by row: exactly for
+    the integer-valued families (onemax, leading_ones, trap_k, maxcut),
+    and for weighted_linear only up to rounding, because a matrix
+    product may sum the terms in another order than `w @ x`. Optimum
+    metadata enables hit-rate diagnostics and is absent for problems
+    whose optimum is not known.
     """
 
     name: str
@@ -141,6 +146,68 @@ class RngStream:
 
     def uniform(self, low: float = 0.0, high: float = 1.0, size=None):
         return self._gen.uniform(low, high, size)
+
+
+# Uniforms the online engines draw per block (whole rows, at least one).
+# Outputs do not depend on it.
+_DRAW_BLOCK_VALUES = 1 << 10
+
+
+class BlockSampler:
+    """Bit vectors for a per-sample engine, drawn from uniforms in blocks.
+
+    next() returns the next of `count` rows: bit i is 1 iff its uniform
+    is below probs[i]. PCG64's random((B, n)) gives the same numbers as
+    B calls of random(n), so every row equals what draw_sample would
+    return at that step, whatever the block size.
+
+    The rows of a block become bits in one comparison with the current
+    probabilities. set_probs discards the bits of the rows not yet
+    returned; the next row is then compared alone, because an engine
+    that has just updated often updates again at once (the window
+    engine does on most steps after absorption), and only if no update
+    follows are the remaining rows compared together. Bits are always
+    new arrays, so a row already returned never changes. The probs
+    arrays are kept, not copied: pass a new array to set_probs instead
+    of changing one in place.
+    """
+
+    def __init__(self, rng: RngStream, probs: np.ndarray, count: int):
+        self._rng = rng
+        self._probs = probs
+        self._undrawn = count
+        self._block_rows = max(1, _DRAW_BLOCK_VALUES // probs.size)
+        self._u = np.empty((0, probs.size))
+        self._next = 0  # row of _u that next() returns
+        self._bits: Optional[np.ndarray] = None  # rows _first: of _u, or None
+        self._first = 0
+        self._updated = False
+
+    def next(self) -> np.ndarray:
+        r = self._next
+        if r == len(self._u):
+            if self._undrawn == 0:
+                raise IndexError("all rows of the sampler are used")
+            m = min(self._block_rows, self._undrawn)
+            self._undrawn -= m
+            self._u = self._rng.random((m, self._probs.size))
+            self._bits = None
+            r = 0
+        self._next = r + 1
+        if self._bits is not None:
+            return self._bits[r - self._first]
+        if self._updated:
+            self._updated = False
+            return (self._u[r] < self._probs).astype(np.uint8)
+        self._first = r
+        self._bits = (self._u[r:] < self._probs).astype(np.uint8)
+        return self._bits[0]
+
+    def set_probs(self, probs: np.ndarray) -> None:
+        """Draw the rows still to come from `probs`."""
+        self._probs = probs
+        self._bits = None
+        self._updated = True
 
 
 def draw_sample(params: BernoulliParams, rng: RngStream) -> np.ndarray:

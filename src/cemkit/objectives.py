@@ -8,6 +8,7 @@ instead of shipping closures across process boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -60,6 +61,16 @@ def _validate(spec: ProblemSpec) -> None:
             raise ConfigError(
                 f"weights: expected {spec.n} coefficients, got {len(spec.weights)}"
             )
+        if not all(map(math.isfinite, spec.weights)):
+            raise ConfigError(f"weights: coefficients must be finite, got {spec.weights!r}")
+        # The largest and the smallest objective value must be finite too.
+        positive = sum((w for w in spec.weights if w > 0.0), 0.0)
+        negative = sum((w for w in spec.weights if w < 0.0), 0.0)
+        if not (math.isfinite(positive) and math.isfinite(negative)):
+            raise ConfigError(
+                "weights: the sums of the positive and of the negative coefficients"
+                f" must be finite, got {positive!r} and {negative!r}"
+            )
     if spec.kind == "trap_k":
         if spec.k is None:
             raise ConfigError("k: required for trap_k")
@@ -94,7 +105,7 @@ def make_objective(spec: ProblemSpec) -> Objective:
         obj = Objective(
             name=f"onemax_{n}",
             n=n,
-            fn=lambda x: float(np.sum(x)),
+            fn=lambda x: float(np.count_nonzero(x)),
             batch_fn=lambda b: b.sum(axis=1).astype(np.float64),
             optimal_bits=np.ones(n, dtype=np.uint8),
             optimal_value=float(n),
@@ -126,7 +137,7 @@ def make_objective(spec: ProblemSpec) -> Objective:
         obj = Objective(
             name=f"trap_{k}_{n}",
             n=n,
-            fn=lambda x, _k=k: _trap_batch(np.asarray(x, dtype=np.uint8)[None, :], _k)[0],
+            fn=lambda x, _k=k: _trap_one(x, _k),
             batch_fn=lambda b, _k=k: _trap_batch(b, _k),
             optimal_bits=np.ones(n, dtype=np.uint8),
             optimal_value=float(n),
@@ -161,12 +172,16 @@ def make_objective(spec: ProblemSpec) -> Objective:
 
 
 def _leading_ones_one(x: np.ndarray) -> float:
-    count = 0
-    for bit in x:
-        if bit != 1:
-            break
-        count += 1
-    return float(count)
+    stops = (np.asarray(x) != 1).tobytes()
+    first = stops.find(1)
+    return float(len(stops) if first < 0 else first)
+
+
+def _trap_one(x: np.ndarray, k: int) -> float:
+    """_trap_batch of one row. Every term is a small integer, so the
+    Python sum equals the batch's float sum exactly."""
+    ones = np.asarray(x, dtype=np.uint8).reshape(-1, k).sum(axis=1).tolist()
+    return float(sum(k if u == k else k - 1 - u for u in ones))
 
 
 def _trap_batch(batch: np.ndarray, k: int) -> np.ndarray:

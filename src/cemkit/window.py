@@ -20,6 +20,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 from .model import (
     BernoulliParams,
+    BlockSampler,
     EvaluatedSample,
     Objective,
     RngStream,
@@ -140,7 +141,9 @@ def window_step(
 def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> RunTrace:
     """Run K per-sample steps of the sliding-window variant.
 
-    A non-finite objective value raises DomainError naming its draw.
+    Bits come from a BlockSampler (the same bits as one draw per step)
+    and each is evaluated with obj.fn as it is consumed. A non-finite
+    objective value raises DomainError naming its draw.
     """
     params0 = config.p0 if config.p0 is not None else BernoulliParams.uniform_init(obj.n)
     if params0.n != obj.n:
@@ -162,12 +165,13 @@ def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> R
     window = SampleWindow(config.N)
     probs = params0.probs.copy()
     fn = obj.fn
-    n = obj.n
     eps = config.eps_conv
     gamma: Optional[float] = None
+    sampler = BlockSampler(rng, probs, config.K)
+    next_bits = sampler.next
     steps = 0
     for t in range(config.K):
-        bits = (rng.random(n) < probs).astype(np.uint8)
+        bits = next_bits()
         value = float(fn(bits))
         if not isfinite(value):
             raise non_finite_value("window", t, value)
@@ -179,6 +183,7 @@ def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> R
         recorder.offer_best(sample.bits, sample.value, t)
         if is_elite:
             probs = (1.0 - alpha1) * probs + alpha1 * bits
+            sampler.set_probs(probs)
             recorder.update_applied(probs)
         steps = t + 1
         recorder.maybe_snapshot(steps, gamma, None)

@@ -116,6 +116,16 @@ class TestFailureModes:
         assert code == 2 and out == ""
         assert err.startswith(f"config error: {field}:")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("weights", [[1e308, 1e308, 1.0], [1.0, -1e308, -1e308]])
+    def test_weights_whose_sum_overflows_are_a_config_error(self, capsys, tmp_path, weights):
+        p = tmp_path / "overflow.json"
+        problem = {"kind": "weighted_linear", "n": 3, "weights": weights}
+        p.write_text(json.dumps({**CFG, "variant": "window", "K": 200, "problem": problem}))
+        code, out, err = _run(capsys, ["run", "--config", str(p)])
+        assert code == 2 and out == ""
+        assert err.startswith("config error: weights:")
+
     def test_unwritable_out(self, capsys, cfg_path, tmp_path):
         dest = tmp_path / "missing_dir" / "r.csv"
         code, _, err = _run(capsys, ["run", "--config", cfg_path, "--out", str(dest)])

@@ -17,7 +17,7 @@ from cemkit import (
     run_memoryless,
     run_online_window,
 )
-from cemkit import cli
+from cemkit import cli, harness
 
 
 def _nan_when_first_pair_set(n=6):
@@ -54,11 +54,20 @@ def test_engine_names_variant_draw_and_value(variant, run, cfg):
     )
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_cli_exits_1_with_the_message_on_stderr(capsys, tmp_path):
-    # 1e308 + 1e308 overflows to inf once bits 0 and 1 are both drawn.
+def test_cli_exits_1_with_the_message_on_stderr(capsys, tmp_path, monkeypatch):
+    # Config checks keep every built-in objective finite (weights whose
+    # sums overflow are a config error), so the CLI gets an objective
+    # that returns inf once bits 0 and 1 are both drawn.
+    def infinite_when_first_pair_set(spec):
+        return Objective(
+            name="inf_pair",
+            n=spec.n,
+            fn=lambda bits: math.inf if bits[0] and bits[1] else float(bits.sum()),
+        )
+
+    monkeypatch.setattr(harness, "_cached_objective", infinite_when_first_pair_set)
     cfg = {
-        "problem": {"kind": "weighted_linear", "n": 3, "weights": [1e308, 1e308, 1.0]},
+        "problem": {"kind": "onemax", "n": 3},
         "variant": "window",
         "N": 20,
         "K": 200,

@@ -176,3 +176,55 @@ class TestEnumerateOptimum:
     def test_capacity_limit(self):
         with pytest.raises(CapacityError):
             enumerate_optimum(make_objective(ProblemSpec(kind="onemax", n=25)))
+
+
+def _rows(n, seed):
+    """Random rows at several densities, plus all-zeros and all-ones."""
+    rng = np.random.default_rng(seed)
+    dense = [(rng.random((50, n)) < p).astype(np.uint8) for p in (0.1, 0.5, 0.9, 0.99)]
+    return np.vstack([np.zeros((1, n), np.uint8), np.ones((1, n), np.uint8), *dense])
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ProblemSpec(kind="onemax", n=1),
+        ProblemSpec(kind="onemax", n=100),
+        ProblemSpec(kind="leading_ones", n=1),
+        ProblemSpec(kind="leading_ones", n=13),
+        ProblemSpec(kind="leading_ones", n=100),
+        ProblemSpec(kind="trap_k", n=2, k=2),
+        ProblemSpec(kind="trap_k", n=10, k=5),
+        ProblemSpec(kind="trap_k", n=12, k=3),
+        ProblemSpec(kind="trap_k", n=40, k=8),
+        ProblemSpec(kind="trap_k", n=100, k=5),
+        ProblemSpec(kind="maxcut", n=10, edges=((0, 1), (1, 2), (2, 9), (3, 7), (4, 5), (9, 0))),
+        ProblemSpec(kind="maxcut", n=30, edges=tuple((i, (7 * i + 3) % 30) for i in range(30))),
+    ],
+    ids=lambda s: f"{s.kind}_{s.n}" + (f"_k{s.k}" if s.k else ""),
+)
+def test_fn_equals_batch_fn_bit_for_bit(spec):
+    # The online engines evaluate with fn, the batch engine with batch_fn:
+    # for the integer-valued families the two must give the same floats.
+    obj = make_objective(spec)
+    rows = _rows(spec.n, spec.n)
+    single = np.array([obj.fn(r) for r in rows], dtype=np.float64)
+    assert np.array_equal(single, obj.batch_fn(rows))
+
+
+def test_weighted_linear_fn_and_batch_fn_agree_within_rounding():
+    w = tuple(float(x) for x in np.random.default_rng(5).normal(size=100))
+    obj = make_objective(ProblemSpec(kind="weighted_linear", n=100, weights=w))
+    rows = _rows(100, 6)
+    single = np.array([obj.fn(r) for r in rows])
+    assert np.allclose(single, obj.batch_fn(rows), rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "weights",
+    [(1e308, 1e308, 1.0), (-1e308, 1.0, -1e308), (1.0, float("nan"), 2.0), (float("inf"), 0.0, 1.0)],
+)
+def test_weights_with_non_finite_extremes_rejected(weights):
+    with pytest.raises(ConfigError, match="^weights:"):
+        make_objective(ProblemSpec(kind="weighted_linear", n=3, weights=weights))
