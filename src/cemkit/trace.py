@@ -49,6 +49,10 @@ class TraceSnapshot:
 # snapshots, at least one). Blocks are added as they fill and never
 # move, so appending a snapshot never copies the earlier ones.
 _BLOCK_VALUES = 1 << 16
+# Parameter values per block of a TraceRecorder's update log (whole
+# updates, at least one). The log and the pending snapshots are folded
+# into sign-change counts and table rows once per block.
+_LOG_BLOCK_VALUES = 1 << 11
 _SCALAR_COLUMNS = ("step", "gamma", "delta", "best_value", "update_count", "elite_decisions")
 
 
@@ -120,18 +124,41 @@ class SnapshotTable(Sequence[TraceSnapshot]):
         elite_decisions: int,
     ) -> None:
         """Copy one snapshot into the next row."""
-        k, r = divmod(len(self.step), self.block_rows)
-        if r == 0:
-            self._params.append(np.empty((self.block_rows, params.size)))
-            self._sign_changes.append(np.empty((self.block_rows, params.size), dtype=np.int64))
-        self._params[k][r] = params
-        self._sign_changes[k][r] = sign_changes
-        self.step.append(step)
-        self.gamma.append(gamma)
-        self.delta.append(delta)
-        self.best_value.append(best_value)
-        self.update_count.append(update_count)
-        self.elite_decisions.append(elite_decisions)
+        self.extend(
+            params[None], np.asarray(sign_changes)[None], (step,), (gamma,), (delta,),
+            (best_value,), (update_count,), (elite_decisions,),
+        )
+
+    def extend(
+        self,
+        params: np.ndarray,
+        sign_changes: np.ndarray,
+        step: Sequence[int],
+        gamma: Sequence[Optional[float]],
+        delta: Sequence[Optional[float]],
+        best_value: Sequence[Optional[float]],
+        update_count: Sequence[int],
+        elite_decisions: Sequence[int],
+    ) -> None:
+        """Copy m snapshots into the next m rows: the rows of the (m, n)
+        params and sign_changes, and m values of each scalar column."""
+        done, m = len(self.step), len(params)
+        i = 0
+        while i < m:
+            k, r = divmod(done + i, self.block_rows)
+            if r == 0:
+                self._params.append(np.empty((self.block_rows, params.shape[1])))
+                self._sign_changes.append(np.empty((self.block_rows, params.shape[1]), dtype=np.int64))
+            j = min(m, i + self.block_rows - r)
+            self._params[k][r : r + j - i] = params[i:j]
+            self._sign_changes[k][r : r + j - i] = sign_changes[i:j]
+            i = j
+        self.step.extend(step)
+        self.gamma.extend(gamma)
+        self.delta.extend(delta)
+        self.best_value.extend(best_value)
+        self.update_count.extend(update_count)
+        self.elite_decisions.extend(elite_decisions)
 
     def sealed(self) -> "SnapshotTable":
         """Read-only views of the filled rows and tuple columns of this table.
@@ -179,6 +206,14 @@ class TraceRecorder:
     an event and does not reset direction: component i logs a change
     when the sign of its nonzero increment differs from the sign of its
     previous nonzero increment.
+
+    Recording a step costs almost nothing: an update copies its
+    parameter vector into the next row of a fixed-size log block, and a
+    snapshot appends its scalar fields and the index of the log row it
+    refers to. The sign changes and the snapshots' rows are worked out
+    by one array-wide fold (_fold) when the log block fills, when the
+    pending snapshots reach one block, and on every read of
+    sign_changes or _snapshots, so no result depends on the block size.
     """
 
     def __init__(
@@ -201,26 +236,74 @@ class TraceRecorder:
         self.stride = snapshot_stride
         self.optimal_value = optimal_value
 
-        self._params = params0.probs.copy()
-        # Sign (-1.0, 0.0 or 1.0) of each component's last nonzero step.
-        self._last_sign = np.zeros(params0.n)
-        self.sign_changes = np.zeros(params0.n, dtype=np.int64)
+        n = params0.n
+        self._log_rows = max(1, _LOG_BLOCK_VALUES // n)
+        # Row 0 holds the parameters before the block's first update;
+        # rows 1.._rows the updates logged since the last fold.
+        self._log = np.empty((self._log_rows + 1, n))
+        self._log[0] = params0.probs
+        self._rows = 0
+        # Sign (-1.0, 0.0 or 1.0) of each component's last nonzero step,
+        # and the change counts, as of log row 0.
+        self._last_sign = np.zeros(n)
+        self._sign_changes = np.zeros(n, dtype=np.int64)
+        # (step, gamma, delta, best_value, update_count, elite_decisions, log row)
+        self._pending: List[tuple] = []
         self.update_count = 0
         self.elite_decisions = 0
         self.best: Optional[EvaluatedSample] = None
         self.first_hit_step: Optional[int] = None
-        self._snapshots = SnapshotTable(params0.n)
+        self._table = SnapshotTable(n)
         self._snapshot(step=0, gamma=None, delta=None)
+
+    @property
+    def sign_changes(self) -> np.ndarray:
+        """Per-component sign-change counts over every update so far."""
+        self._fold()
+        return self._sign_changes
+
+    @property
+    def _snapshots(self) -> SnapshotTable:
+        """The snapshots taken so far."""
+        self._fold()
+        return self._table
 
     def update_applied(self, new_params: np.ndarray, elites: int = 1) -> None:
         """Record one parameter update covering `elites` elite samples."""
-        sign = np.sign(new_params - self._params)
-        # Opposite nonzero signs multiply to -1; a zero on either side gives 0.
-        self.sign_changes += sign * self._last_sign < 0.0
-        np.copyto(self._last_sign, sign, where=sign != 0.0)
-        self._params[:] = new_params
+        self._rows += 1
+        self._log[self._rows] = new_params
         self.update_count += 1
         self.elite_decisions += elites
+        if self._rows == self._log_rows:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Count the sign changes of the logged updates and write the
+        pending snapshots into the table, then start a new block."""
+        r = self._rows
+        log = self._log[: r + 1]
+        # Row 0: the carried last nonzero sign; row i: the sign of update i.
+        signs = np.empty_like(log)
+        signs[0] = self._last_sign
+        np.sign(log[1:] - log[:-1], out=signs[1:])
+        # Last nonzero sign up to each row, by forward-filling row indices.
+        rows = np.where(signs != 0.0, np.arange(r + 1)[:, None], 0)
+        np.maximum.accumulate(rows, axis=0, out=rows)
+        held = np.take_along_axis(signs, rows, axis=0)
+        # Opposite nonzero signs multiply to -1; a zero on either side gives 0.
+        counts = np.empty(log.shape, dtype=np.int64)
+        counts[0] = self._sign_changes
+        np.cumsum(signs[1:] * held[:-1] < 0.0, axis=0, out=counts[1:])
+        counts[1:] += counts[0]
+        if self._pending:
+            scalars = list(zip(*self._pending))
+            at = list(scalars.pop())
+            self._table.extend(log[at], counts[at], *scalars)
+            self._pending.clear()
+        self._last_sign = held[r]
+        self._sign_changes = counts[r]
+        self._log[0] = log[r]
+        self._rows = 0
 
     def offer_best(self, bits: np.ndarray, value: float, draw_index: int) -> None:
         """Candidate best-so-far; earliest draw wins ties."""
@@ -238,16 +321,12 @@ class TraceRecorder:
             self._snapshot(step, gamma, delta)
 
     def _snapshot(self, step: int, gamma: Optional[float], delta: Optional[float]) -> None:
-        self._snapshots.append(
-            step,
-            self._params,
-            gamma,
-            delta,
-            None if self.best is None else self.best.value,
-            self.update_count,
-            self.sign_changes,
-            self.elite_decisions,
-        )
+        self._pending.append((
+            step, gamma, delta, None if self.best is None else self.best.value,
+            self.update_count, self.elite_decisions, self._rows,
+        ))
+        if len(self._pending) == self._log_rows:
+            self._fold()
 
     def finish(self, steps: int, gamma: Optional[float], delta: Optional[float]) -> RunTrace:
         """Seal the recorder into a RunTrace with its own read-only snapshots."""

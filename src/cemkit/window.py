@@ -53,6 +53,10 @@ class SampleWindow:
         self.capacity = capacity
         self._entries: Deque[EvaluatedSample] = deque()
         self._sorted_values: List[float] = []
+        # The (size, rho) the cached rank was computed for: after warm-up
+        # the size stays N, so elite_count runs once per window.
+        self._rank_for: Tuple[int, Optional[float]] = (0, None)
+        self._rank = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -76,10 +80,11 @@ class SampleWindow:
     def threshold(self, rho: float) -> float:
         """ceil(rho*N)-th largest value currently in the buffer."""
         m = len(self._sorted_values)
-        if m == 0:
-            raise ValueError("window is empty")
-        k = elite_count(m, rho)
-        return self._sorted_values[m - k]
+        if (m, rho) != self._rank_for:
+            if m == 0:
+                raise ValueError("window is empty")
+            self._rank_for, self._rank = (m, rho), elite_count(m, rho)
+        return self._sorted_values[m - self._rank]
 
     def threshold_resort(self, rho: float) -> float:
         """Same rank statistic by full re-sort; the slow oracle the sorted

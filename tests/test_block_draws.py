@@ -1,10 +1,11 @@
-"""Block draws in the online engines.
+"""Block draws in the online engines, and block-folded trace recording.
 
 The window and memoryless engines draw their uniforms in blocks of rows
 (model.BlockSampler) and evaluate one consumed row at a time with
 `Objective.fn`. Nothing a run returns may depend on the block size, the
 objective is called exactly once per step, and a non-finite value is
-reported at the draw that produced it.
+reported at the draw that produced it. Likewise, no engine's RunTrace
+may depend on the size of the TraceRecorder's update-log block.
 """
 
 import math
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from cemkit import (
+    BatchConfig,
     BernoulliParams,
     DomainError,
     MemorylessConfig,
@@ -22,14 +24,16 @@ from cemkit import (
     RngStream,
     draw_sample,
     make_objective,
+    run_batch,
     run_memoryless,
     run_online_window,
 )
-from cemkit import model
+from cemkit import model, trace
 from cemkit.model import BlockSampler
 
 TRAP = make_objective(ProblemSpec(kind="trap_k", n=10, k=5))
 DEFAULT_VALUES = model._DRAW_BLOCK_VALUES
+DEFAULT_LOG_VALUES = trace._LOG_BLOCK_VALUES
 
 
 def default_rows(n):
@@ -102,6 +106,37 @@ def test_eps_conv_stop_inside_a_block(monkeypatch, case):
     runs = [run_with_rows(monkeypatch, rows, engine, cfg, TRAP, seed) for rows in (1, 2, 7, None)]
     steps = runs[0].steps
     assert steps < cfg.K and steps % 7 and steps % default_rows(TRAP.n)
+    for run in runs[1:]:
+        assert outcome(run) == outcome(runs[0])
+
+
+def batch(**kw):
+    return run_batch, BatchConfig(**{"N": 20, "rho": 0.1, "alpha": 0.5, "T": 49, **kw})
+
+
+# (engine and config, seed); the _eps cases stop early.
+LOG_CASES = {
+    "window": (window(), 3),
+    "window_stride1": (window(snapshot_stride=1), 3),
+    "window_eps": EPS_CASES["window_eps"],
+    "memoryless": (memoryless(), 3),
+    "memoryless_stride1": (memoryless(snapshot_stride=1), 3),
+    "memoryless_eps": EPS_CASES["memoryless_eps"],
+    "batch": (batch(eps_conv=None), 3),
+    "batch_eps": (batch(alpha=0.7), 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOG_CASES))
+def test_run_trace_does_not_depend_on_log_block_size(monkeypatch, case):
+    (engine, cfg), seed = LOG_CASES[case]
+    runs = []
+    for rows in (1, 2, 3, None):
+        values = DEFAULT_LOG_VALUES if rows is None else rows * TRAP.n
+        monkeypatch.setattr(trace, "_LOG_BLOCK_VALUES", values)
+        runs.append(engine(cfg, TRAP, RngStream(seed)))
+    budget = cfg.T * cfg.N if engine is run_batch else cfg.K
+    assert (runs[0].steps < budget) == case.endswith("_eps")
     for run in runs[1:]:
         assert outcome(run) == outcome(runs[0])
 

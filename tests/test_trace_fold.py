@@ -1,0 +1,406 @@
+"""The block fold of TraceRecorder against a plain-Python recorder.
+
+TraceRecorder logs each update as one row of a fixed-size block and
+works out sign changes and snapshot rows once per block. Whatever the
+block size, every snapshot and every count must equal what a recorder
+that applies the sign-change rule one update at a time produces. The
+engine-level tests replay every engine through its pure update
+functions and that reference recorder.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cemkit import (
+    BatchConfig,
+    BernoulliParams,
+    MemorylessConfig,
+    OnlineConfig,
+    ProblemSpec,
+    RngStream,
+    SampleWindow,
+    TraceRecorder,
+    analyze,
+    batch_update,
+    delta_update,
+    draw_sample,
+    elite_count,
+    evaluate,
+    is_binary_converged,
+    make_objective,
+    online_update,
+    run_batch,
+    run_memoryless,
+    run_online_window,
+    threshold_step,
+    window_step,
+)
+from cemkit import memoryless
+from cemkit import trace as trace_module
+
+DEFAULT_LOG_VALUES = trace_module._LOG_BLOCK_VALUES
+LOG_ROWS = [1, 2, 3, None]
+
+
+def set_log_rows(mp, rows, n):
+    """Log blocks of `rows` updates for vectors of length n (None: the default)."""
+    mp.setattr(trace_module, "_LOG_BLOCK_VALUES", DEFAULT_LOG_VALUES if rows is None else rows * n)
+
+
+class ReferenceRecorder:
+    """The recorder's rules applied one event at a time in plain Python.
+
+    finish() returns the same tuple as outcome(run) for a RunTrace.
+    """
+
+    def __init__(self, variant, p0, stride, optimal_value=None):
+        self.variant = variant
+        self.stride = stride
+        self.optimal_value = optimal_value
+        self.params = [float(v) for v in p0]
+        self.last = [0] * len(self.params)
+        self.counts = [0] * len(self.params)
+        self.update_count = 0
+        self.elite_decisions = 0
+        self.best = None
+        self.first_hit_step = None
+        self.snapshots = []
+        self._snapshot(0, None, None)
+
+    def update_applied(self, new_params, elites=1):
+        new = [float(v) for v in new_params]
+        for i, (old, v) in enumerate(zip(self.params, new)):
+            s = (v > old) - (v < old)
+            if s:
+                self.counts[i] += self.last[i] != 0 and s != self.last[i]
+                self.last[i] = s
+        self.params = new
+        self.update_count += 1
+        self.elite_decisions += elites
+
+    def offer_best(self, bits, value, draw_index):
+        if self.best is None or value > self.best[0]:
+            self.best = (value, draw_index, bits.tobytes())
+        if (
+            self.first_hit_step is None
+            and self.optimal_value is not None
+            and value >= self.optimal_value - trace_module.HIT_TOL
+        ):
+            self.first_hit_step = draw_index
+
+    def maybe_snapshot(self, step, gamma, delta):
+        if step % self.stride == 0:
+            self._snapshot(step, gamma, delta)
+
+    def _snapshot(self, step, gamma, delta):
+        self.snapshots.append((
+            step, gamma, delta, None if self.best is None else self.best[0],
+            self.update_count, self.elite_decisions,
+            np.array(self.params).tobytes(), np.array(self.counts, dtype=np.int64).tobytes(),
+        ))
+
+    def finish(self, steps, gamma, delta):
+        if self.snapshots[-1][0] != steps:
+            self._snapshot(steps, gamma, delta)
+        best = (None, None, None) if self.best is None else self.best
+        return (
+            self.variant, len(self.params), steps, self.update_count, self.elite_decisions,
+            self.first_hit_step, gamma, *best, self.snapshots[-1][6],
+            np.array(self.counts, dtype=np.int64).tobytes(), list(self.snapshots),
+        )
+
+
+def snapshot_rows(table):
+    return [
+        (
+            s.step, s.gamma, s.delta, s.best_value, s.update_count, s.elite_decisions,
+            s.params.tobytes(), s.sign_changes.tobytes(),
+        )
+        for s in table
+    ]
+
+
+def outcome(run):
+    """Everything a RunTrace holds, in comparable form."""
+    best = (None, None, None) if run.best is None else (
+        run.best.value, run.best.draw_index, run.best.bits.tobytes())
+    return (
+        run.variant, run.n, run.steps, run.update_count, run.elite_decisions,
+        run.first_hit_step, run.gamma_final, *best, run.final_params.probs.tobytes(),
+        run.sign_changes.tobytes(), snapshot_rows(run.snapshots),
+    )
+
+
+def recorders(n, stride, optimal_value=2.0):
+    p0 = np.full(n, 0.5)
+    rec = TraceRecorder(
+        variant="test", params0=BernoulliParams(p0), rho=0.1, alpha=0.5, alpha1=0.5,
+        snapshot_stride=stride, optimal_value=optimal_value,
+    )
+    return rec, ReferenceRecorder("test", p0, stride, optimal_value)
+
+
+def random_events(n, steps, seed):
+    """Per step: new params or None, a best offer or None, gamma, delta.
+
+    Updates move a random subset of components, repeat the last row
+    exactly (a zero step everywhere), or move only component 0 after
+    the other components have stopped moving halfway through.
+    """
+    rng = np.random.default_rng(seed)
+    params = np.full(n, 0.5)
+    events = []
+    for step in range(1, steps + 1):
+        new = None
+        u = rng.random()
+        if u < 0.15:
+            new = params.copy()
+        elif u < 0.85:
+            new = params.copy()
+            moving = rng.random(n) < 0.6
+            if step > steps // 2:
+                moving[1:] = False
+            new[moving] = rng.uniform(size=int(moving.sum()))
+            params = new
+        offer = None
+        if rng.random() < 0.2:
+            offer = (rng.integers(0, 2, n).astype(np.uint8), float(rng.integers(0, 3)), step - 1)
+        gamma = None if step % 4 == 0 else 0.5 * step
+        delta = None if step % 3 else 0.25 * step
+        events.append((new, offer, gamma, delta))
+    return events
+
+
+def feed(recs, events, first_step=1):
+    for step, (new, offer, gamma, delta) in enumerate(events, first_step):
+        for rec in recs:
+            if new is not None:
+                rec.update_applied(new, elites=step % 3 + 1)
+            if offer is not None:
+                rec.offer_best(*offer)
+            rec.maybe_snapshot(step, gamma, delta)
+
+
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("rows", LOG_ROWS)
+def test_fold_matches_reference_for_random_updates(monkeypatch, rows, stride):
+    n, steps = 4, 700
+    set_log_rows(monkeypatch, rows, n)
+    rec, ref = recorders(n, stride)
+    feed((rec, ref), random_events(n, steps, seed=rows or 0))
+    want = ref.finish(steps, 1.5, None)
+    assert outcome(rec.finish(steps, 1.5, None)) == want
+    # Components 1.. stop moving halfway through: their counts are final by then.
+    half = next(s for s in want[-1] if s[0] >= steps // 2)
+    final = np.frombuffer(want[-2], np.int64)
+    assert np.array_equal(np.frombuffer(half[-1], np.int64)[1:], final[1:])
+    assert final[0] > final[1:].max() > 0
+
+
+def test_fold_on_a_snapshot_step(monkeypatch):
+    n = 3
+    set_log_rows(monkeypatch, 2, n)
+    rec, ref = recorders(n, stride=2)
+    updates = [np.array([0.6, 0.4, 0.5]), np.array([0.5, 0.5, 0.5]), np.array([0.7, 0.5, 0.4])]
+    for step, new in enumerate(updates, 1):
+        for r in (rec, ref):
+            r.update_applied(new)
+        if step == 2:
+            # The second update filled the two-row block and folded it
+            # before the snapshot of the same step was taken.
+            assert rec._rows == 0 and not rec._pending
+        for r in (rec, ref):
+            r.maybe_snapshot(step, float(step), None)
+        if step == 2:
+            # That snapshot refers to row 0, the carried last update.
+            assert [p[-1] for p in rec._pending] == [0]
+    assert snapshot_rows(rec._snapshots) == ref.snapshots
+    assert rec.sign_changes.tolist() == ref.counts == [2, 1, 0]
+    assert outcome(rec.finish(3, 3.0, None)) == ref.finish(3, 3.0, None)
+
+
+def test_pending_snapshots_fold_without_updates(monkeypatch):
+    n = 2
+    set_log_rows(monkeypatch, 3, n)
+    rec, ref = recorders(n, stride=1)
+    events = [(None, None, float(step), None) for step in range(1, 11)]
+    events[4] = (np.array([0.9, 0.1]), None, 5.0, None)
+    feed((rec, ref), events)
+    assert outcome(rec.finish(10, 0.0, None)) == ref.finish(10, 0.0, None)
+
+
+@pytest.mark.parametrize("rows", LOG_ROWS)
+def test_mid_run_reads_fold_first(monkeypatch, rows):
+    n, steps = 5, 400
+    set_log_rows(monkeypatch, rows, n)
+    rec, ref = recorders(n, stride=2)
+    events = random_events(n, steps, seed=11)
+    for start in range(0, steps, 37):
+        feed((rec, ref), events[start : start + 37], first_step=start + 1)
+        counts = rec.sign_changes
+        assert counts.dtype == np.int64 and counts.tolist() == ref.counts
+        assert snapshot_rows(rec._snapshots) == ref.snapshots
+    assert outcome(rec.finish(steps, None, 2.0)) == ref.finish(steps, None, 2.0)
+
+
+@pytest.mark.parametrize("rows", LOG_ROWS)
+def test_recording_after_finish(monkeypatch, rows):
+    n = 3
+    set_log_rows(monkeypatch, rows, n)
+    rec, ref = recorders(n, stride=3)
+    events = random_events(n, 300, seed=5)
+    feed((rec, ref), events[:100])
+    first = rec.finish(100, 1.0, None)
+    before = outcome(first)
+    assert before == ref.finish(100, 1.0, None)
+    feed((rec, ref), events[100:], first_step=101)
+    assert outcome(rec.finish(300, 2.0, None)) == ref.finish(300, 2.0, None)
+    assert outcome(first) == before
+
+
+def test_long_run_holds_at_most_one_block(monkeypatch):
+    # A K=50,000 memoryless run at the default stride fills the update
+    # log and the pending snapshots many times over; neither may ever
+    # hold more than one block of rows.
+    seen = {"folds": 0, "rows": 0, "pending": 0}
+
+    class Watched(TraceRecorder):
+        def _fold(self):
+            seen["folds"] += 1
+            seen["rows"] = max(seen["rows"], self._rows)
+            seen["pending"] = max(seen["pending"], len(self._pending))
+            TraceRecorder._fold(self)
+
+    obj = make_objective(ProblemSpec(kind="onemax", n=10))
+    cfg = MemorylessConfig(N=40, rho=0.1, alpha=0.05, K=50_000, estimator="uniform_model")
+    monkeypatch.setattr(memoryless, "TraceRecorder", Watched)
+    run = run_memoryless(cfg, obj, RngStream(2))
+    block = DEFAULT_LOG_VALUES // obj.n
+    assert run.update_count > 2 * block and len(run.snapshots) > 2 * block
+    assert seen["rows"] == block and seen["pending"] <= block
+    assert seen["folds"] >= run.update_count // block
+
+
+# Engine-level oracle: each engine against a replay of its pure functions.
+
+OBJECTIVES = {
+    "onemax": make_objective(ProblemSpec(kind="onemax", n=5)),
+    "trap": make_objective(ProblemSpec(kind="trap_k", n=6, k=3)),
+    "leading_ones": make_objective(ProblemSpec(kind="leading_ones", n=4)),
+}
+
+
+def replay_window(cfg, obj, rng):
+    params = BernoulliParams.uniform_init(obj.n)
+    alpha1 = cfg.alpha / elite_count(cfg.N, cfg.rho)
+    rec = ReferenceRecorder("window", params.probs, cfg.snapshot_stride or cfg.N, obj.optimal_value)
+    window = SampleWindow(cfg.N)
+    gamma, steps = None, 0
+    for t in range(cfg.K):
+        sample = evaluate(obj, draw_sample(params, rng), t)
+        window.append(sample)
+        g, elite = window_step(window, sample, cfg.rho)
+        gamma = gamma if g is None else g
+        rec.offer_best(sample.bits, sample.value, t)
+        if elite:
+            params = online_update(sample.bits, params, alpha1)
+            rec.update_applied(params.probs)
+        steps = t + 1
+        rec.maybe_snapshot(steps, gamma, None)
+        if cfg.eps_conv is not None and elite and is_binary_converged(params, cfg.eps_conv):
+            break
+    return rec.finish(steps, gamma, None)
+
+
+def replay_memoryless(cfg, obj, rng):
+    params = BernoulliParams.uniform_init(obj.n)
+    alpha1 = cfg.alpha / elite_count(cfg.N, cfg.rho)
+    rec = ReferenceRecorder("memoryless", params.probs, cfg.snapshot_stride or cfg.N, obj.optimal_value)
+    state, steps = None, 0
+    for t in range(cfg.K):
+        sample = evaluate(obj, draw_sample(params, rng), t)
+        if state is None:
+            state = cfg.initial_state(sample.value if cfg.gamma0 is None else cfg.gamma0)
+        rec.offer_best(sample.bits, sample.value, t)
+        elite = sample.value >= state.gamma
+        if elite:
+            params = online_update(sample.bits, params, alpha1)
+            rec.update_applied(params.probs)
+        state = threshold_step(state, elite, cfg.rho)
+        if state.estimator != "constant":
+            state = delta_update(state, sample.value)
+        steps = t + 1
+        rec.maybe_snapshot(steps, state.gamma, state.delta)
+        if cfg.eps_conv is not None and elite and is_binary_converged(params, cfg.eps_conv):
+            break
+    return rec.finish(steps, state.gamma, state.delta)
+
+
+def replay_batch(cfg, obj, rng):
+    params = BernoulliParams.uniform_init(obj.n)
+    n_b = elite_count(cfg.N, cfg.rho)
+    rec = ReferenceRecorder("batch", params.probs, cfg.N, obj.optimal_value)
+    gamma, steps = None, 0
+    for _ in range(cfg.T):
+        bits = (rng.random((cfg.N, obj.n)) < params.probs).astype(np.uint8)
+        values = obj.evaluate_many(bits)
+        order = np.lexsort((np.arange(cfg.N), -values))
+        gamma = float(values[order[n_b - 1]])
+        params = batch_update([bits[i] for i in order[:n_b]], params, cfg.alpha, n_b)
+        top = int(order[0])
+        rec.offer_best(bits[top], float(values[top]), steps + top)
+        rec.update_applied(params.probs, elites=n_b)
+        steps += cfg.N
+        rec.maybe_snapshot(steps, gamma, None)
+        if cfg.eps_conv is not None and is_binary_converged(params, cfg.eps_conv):
+            break
+    return rec.finish(steps, gamma, None)
+
+
+ENGINES = {
+    "window": (run_online_window, replay_window),
+    "memoryless": (run_memoryless, replay_memoryless),
+    "batch": (run_batch, replay_batch),
+}
+
+
+@st.composite
+def engine_cases(draw):
+    variant = draw(st.sampled_from(sorted(ENGINES)))
+    obj = draw(st.sampled_from(sorted(OBJECTIVES)))
+    rho = draw(st.sampled_from([0.1, 0.2, 0.3]))
+    N = draw(st.integers(11, 30))
+    alpha = draw(st.sampled_from([0.2, 0.5, 0.9]))
+    eps = draw(st.sampled_from([None, 0.05]))
+    if variant == "batch":
+        cfg = BatchConfig(N=N, rho=rho, alpha=alpha, T=draw(st.integers(1, 12)), eps_conv=eps)
+    else:
+        common = dict(
+            N=N, rho=rho, alpha=alpha, K=draw(st.integers(1, 300)), eps_conv=eps,
+            snapshot_stride=draw(st.sampled_from([None, 1, 3])),
+        )
+        if variant == "window":
+            cfg = OnlineConfig(**common)
+        else:
+            cfg = MemorylessConfig(
+                **common, estimator=draw(st.sampled_from(["gauss_model", "uniform_model", "constant"])),
+                delta0=0.5 if common["eps_conv"] is None else 0.3,
+            )
+    return variant, obj, cfg, draw(st.sampled_from(LOG_ROWS)), draw(st.integers(0, 50))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=engine_cases())
+def test_engines_match_pure_function_replay(case):
+    variant, obj_name, cfg, rows, seed = case
+    obj = OBJECTIVES[obj_name]
+    engine, replay = ENGINES[variant]
+    with pytest.MonkeyPatch.context() as mp:
+        set_log_rows(mp, rows, obj.n)
+        run = engine(cfg, obj, RngStream(seed))
+    assert outcome(run) == replay(cfg, obj, RngStream(seed))
+    for block in run.snapshots.param_blocks():
+        assert np.all((block >= 0.0) & (block <= 1.0))
+    assert analyze(run, obj).envelope_violations == 0

@@ -61,6 +61,23 @@ class TestSampleWindow:
                     win.evict_oldest()
                     assert win.threshold(0.1) == win.threshold_resort(0.1)
 
+    def test_threshold_at_every_size_and_rho_matches_resort(self):
+        # The rank is cached per (size, rho): calls at a changing size,
+        # filling and then draining, or with another rho, recompute it.
+        rng = np.random.default_rng(3)
+        win = SampleWindow(30)
+        for t, v in enumerate(rng.normal(0, 1, 30)):
+            win.append(_entry(v, t))
+            for rho in (0.1, 0.5, 0.5, 0.1):
+                assert win.threshold(rho) == win.threshold_resort(rho)
+        while len(win) > 1:
+            win.evict_oldest()
+            for rho in (0.5, 0.1, 0.1):
+                assert win.threshold(rho) == win.threshold_resort(rho)
+        win.evict_oldest()
+        with pytest.raises(ValueError):
+            win.threshold(0.1)
+
 
 class TestWindowStep:
     def test_warm_up_is_silent(self):
