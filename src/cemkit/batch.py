@@ -21,7 +21,7 @@ from .model import (
     RngStream,
     check_run_settings,
     elite_count,
-    is_binary_converged,
+    is_absorbed,
     non_finite_value,
 )
 from .trace import RunTrace, TraceRecorder
@@ -170,6 +170,6 @@ def run_batch(config: BatchConfig, obj: Objective, rng: RngStream) -> RunTrace:
         recorder.offer_best(gen.best.bits, gen.best.value, gen.best.draw_index)
         recorder.update_applied(params.probs, elites=n_b)
         recorder.maybe_snapshot(steps, gamma, None)
-        if config.eps_conv is not None and is_binary_converged(params, config.eps_conv):
+        if config.eps_conv is not None and is_absorbed(params.probs, config.eps_conv):
             break
     return recorder.finish(steps, gamma, None)

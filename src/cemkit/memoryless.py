@@ -25,6 +25,7 @@ from .model import (
     RngStream,
     check_run_settings,
     elite_count,
+    is_absorbed,
     non_finite_value,
 )
 from .normal import normal_ppf
@@ -258,9 +259,14 @@ def run_memoryless(config: MemorylessConfig, obj: Objective, rng: RngStream) -> 
         snapshot_stride=stride,
         optimal_value=obj.optimal_value,
     )
+    offer_best, update_applied = recorder.offer_best, recorder.update_applied
+    maybe_snapshot = recorder.maybe_snapshot
     probs = params0.probs.copy()
     fn = obj.fn
+    isfinite = math.isfinite
     rho = config.rho
+    up = 1.0 - rho
+    keep = 1.0 - alpha1
     eps = config.eps_conv
     ewma = config.estimator != "constant"
     beta = config.beta
@@ -270,24 +276,23 @@ def run_memoryless(config: MemorylessConfig, obj: Objective, rng: RngStream) -> 
     delta = delta0 if config.estimator == "constant" else config.delta_init
     prev_value: Optional[float] = None
     sampler = BlockSampler(rng, probs, config.K)
-    next_bits = sampler.next
+    next_bits, set_probs = sampler.next, sampler.set_probs
     steps = 0
     for t in range(config.K):
         bits = next_bits()
         value = float(fn(bits))
-        if not math.isfinite(value):
+        if not isfinite(value):
             raise non_finite_value("memoryless", t, value)
         if gamma is None:
             gamma = value
-        recorder.offer_best(bits, value, t)
-        if value >= gamma:
-            is_elite = True
-            probs = (1.0 - alpha1) * probs + alpha1 * bits
-            sampler.set_probs(probs)
-            recorder.update_applied(probs)
-            gamma = gamma + (1.0 - rho) * delta
+        offer_best(bits, value, t)
+        is_elite = value >= gamma
+        if is_elite:
+            probs = keep * probs + alpha1 * bits
+            set_probs(probs)
+            update_applied(probs)
+            gamma = gamma + up * delta
         else:
-            is_elite = False
             gamma = gamma - rho * delta
         if ewma:
             if prev_value is None:
@@ -298,12 +303,8 @@ def run_memoryless(config: MemorylessConfig, obj: Objective, rng: RngStream) -> 
                     delta = delta_min
                 prev_value = value
         steps = t + 1
-        recorder.maybe_snapshot(steps, gamma, delta)
-        if (
-            eps is not None
-            and is_elite
-            and bool(np.all((probs <= eps) | (probs >= 1.0 - eps)))
-        ):
+        maybe_snapshot(steps, gamma, delta)
+        if is_elite and eps is not None and is_absorbed(probs, eps):
             break
     return recorder.finish(steps, gamma, delta)
 

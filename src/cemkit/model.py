@@ -24,6 +24,7 @@ __all__ = [
     "draw_sample",
     "evaluate",
     "is_binary_converged",
+    "is_absorbed",
     "elite_count",
     "check_run_settings",
     "non_finite_value",
@@ -47,7 +48,8 @@ class BernoulliParams:
         arr = np.asarray(self.probs, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("probs must be a non-empty 1-d vector")
-        if np.any(arr < 0.0) or np.any(arr > 1.0):
+        # Written so that NaN fails too: every comparison with it is False.
+        if not ((arr >= 0.0) & (arr <= 1.0)).all():
             raise ValueError("probs entries must lie in [0, 1]")
         arr = arr.copy()
         arr.flags.writeable = False
@@ -227,8 +229,14 @@ def is_binary_converged(params: BernoulliParams, eps: float) -> bool:
     """True iff every component is within eps of 0 or of 1."""
     if not 0.0 < eps < 0.5:
         raise ValueError("eps must lie in (0, 0.5)")
-    p = params.probs
-    return bool(np.all((p <= eps) | (p >= 1.0 - eps)))
+    return is_absorbed(params.probs, eps)
+
+
+def is_absorbed(probs: np.ndarray, eps: float) -> bool:
+    """is_binary_converged on a bare vector, without the eps check: the
+    engines' early-stop test. No entry lies strictly between eps and
+    1 - eps; for non-NaN entries that is np.all((p <= eps) | (p >= 1 - eps))."""
+    return not ((probs > eps) & (probs < 1.0 - eps)).any()
 
 
 def elite_count(n_samples: int, rho: float) -> int:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -137,7 +137,7 @@ def make_objective(spec: ProblemSpec) -> Objective:
         obj = Objective(
             name=f"trap_{k}_{n}",
             n=n,
-            fn=lambda x, _k=k: _trap_one(x, _k),
+            fn=_trap_one(n, k),
             batch_fn=lambda b, _k=k: _trap_batch(b, _k),
             optimal_bits=np.ones(n, dtype=np.uint8),
             optimal_value=float(n),
@@ -145,15 +145,10 @@ def make_objective(spec: ProblemSpec) -> Objective:
     else:  # maxcut
         edges = np.asarray(spec.edges, dtype=np.intp)
         edges.flags.writeable = False
-
-        def _cut_one(x, _e=edges):
-            xa = np.asarray(x)
-            return float(np.count_nonzero(xa[_e[:, 0]] != xa[_e[:, 1]]))
-
         obj = Objective(
             name=f"maxcut_{n}_{edges.shape[0]}",
             n=n,
-            fn=_cut_one,
+            fn=_cut_one(edges),
             batch_fn=lambda b: (b[:, edges[:, 0]] != b[:, edges[:, 1]])
             .sum(axis=1)
             .astype(np.float64),
@@ -177,11 +172,54 @@ def _leading_ones_one(x: np.ndarray) -> float:
     return float(len(stops) if first < 0 else first)
 
 
-def _trap_one(x: np.ndarray, k: int) -> float:
-    """_trap_batch of one row. Every term is a small integer, so the
-    Python sum equals the batch's float sum exactly."""
-    ones = np.asarray(x, dtype=np.uint8).reshape(-1, k).sum(axis=1).tolist()
-    return float(sum(k if u == k else k - 1 - u for u in ones))
+def _trap_one(n: int, k: int) -> Callable[[np.ndarray], float]:
+    """_trap_batch of one 0/1 row, from the row's bytes.
+
+    The row is read as one little-endian integer with a lane of w bytes
+    per bit. Multiplying by 1 + 2^(8w) + ... + 2^(8w(k-1)) puts in lane i
+    the count of ones in bits i-k+1..i, so lane mk + k - 1 holds the
+    count u of block m. Each such lane also gets 2^(8w-1) - k added: its
+    top byte is then 0x80 if u == k (a full block) and below it
+    otherwise. w is the narrowest lane with 2^(8w-1) >= k, so no lane
+    carries into the next. A block scores k - 1 - u, plus k + 1 if full.
+    Every term is a small integer, so the value equals the batch's float
+    sum exactly.
+    """
+    w = next(w for w in (1, 2, 4, 8) if k <= 1 << (8 * w - 1))
+    lane = np.dtype(f"<u{w}")
+    spread = sum(1 << (8 * w * j) for j in range(k))
+    bias = sum(((1 << (8 * w - 1)) - k) << (8 * w * i) for i in range(k - 1, n, k))
+    size = (n + k - 1) * w
+    tops = slice(k * w - 1, None, k * w)
+    empty = n // k * (k - 1)  # the score of the all-zero row
+    asarray, from_bytes = np.asarray, int.from_bytes
+
+    def trap_one(x):
+        row = from_bytes(asarray(x, dtype=lane).tobytes(), "little")
+        lanes = (row * spread + bias).to_bytes(size, "little")
+        return float(empty - row.bit_count() + (k + 1) * lanes[tops].count(0x80))
+
+    return trap_one
+
+
+def _cut_one(edges: np.ndarray) -> Callable[[np.ndarray], float]:
+    """Cut size of one 0/1 row, from the row's bytes.
+
+    One take gathers every edge's first endpoint, then every second one,
+    a byte each. Read as one integer, the XOR of its two halves has a 1
+    bit exactly where an edge's endpoints differ, so the cut is its bit
+    count.
+    """
+    ends = np.concatenate((edges[:, 0], edges[:, 1]))
+    half = 8 * len(edges)
+    low = (1 << half) - 1
+    asarray, u8, from_bytes = np.asarray, np.uint8, int.from_bytes
+
+    def cut_one(x):
+        both = from_bytes(asarray(x, dtype=u8).take(ends).tobytes(), "little")
+        return float(((both >> half) ^ (both & low)).bit_count())
+
+    return cut_one
 
 
 def _trap_batch(batch: np.ndarray, k: int) -> np.ndarray:

@@ -26,6 +26,7 @@ from .model import (
     RngStream,
     check_run_settings,
     elite_count,
+    is_absorbed,
     non_finite_value,
 )
 from .trace import RunTrace, TraceRecorder
@@ -168,34 +169,37 @@ def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> R
     # The window holds one extra slot so appending the newest sample can
     # precede the overflow test, as the update order requires.
     window = SampleWindow(config.N)
+    append, evict_oldest, threshold = window.append, window.evict_oldest, window.threshold
+    offer_best, update_applied = recorder.offer_best, recorder.update_applied
+    maybe_snapshot = recorder.maybe_snapshot
     probs = params0.probs.copy()
     fn = obj.fn
+    N, rho = config.N, config.rho
+    keep = 1.0 - alpha1
     eps = config.eps_conv
     gamma: Optional[float] = None
     sampler = BlockSampler(rng, probs, config.K)
-    next_bits = sampler.next
+    next_bits, set_probs = sampler.next, sampler.set_probs
     steps = 0
     for t in range(config.K):
         bits = next_bits()
         value = float(fn(bits))
         if not isfinite(value):
             raise non_finite_value("window", t, value)
-        sample = EvaluatedSample(bits=bits, value=value, draw_index=t)
-        window.append(sample)
-        g, is_elite = window_step(window, sample, config.rho)
-        if g is not None:
-            gamma = g
-        recorder.offer_best(sample.bits, sample.value, t)
-        if is_elite:
-            probs = (1.0 - alpha1) * probs + alpha1 * bits
-            sampler.set_probs(probs)
-            recorder.update_applied(probs)
+        append(EvaluatedSample(bits=bits, value=value, draw_index=t))
+        offer_best(bits, value, t)
+        is_elite = False
+        # window_step, inlined: the window overflows from draw N on.
+        if t >= N:
+            evict_oldest()
+            gamma = threshold(rho)
+            if value >= gamma:
+                is_elite = True
+                probs = keep * probs + alpha1 * bits
+                set_probs(probs)
+                update_applied(probs)
         steps = t + 1
-        recorder.maybe_snapshot(steps, gamma, None)
-        if (
-            eps is not None
-            and is_elite
-            and bool(np.all((probs <= eps) | (probs >= 1.0 - eps)))
-        ):
+        maybe_snapshot(steps, gamma, None)
+        if is_elite and eps is not None and is_absorbed(probs, eps):
             break
     return recorder.finish(steps, gamma, None)

@@ -16,6 +16,7 @@ from cemkit import (
     negated,
     ProblemSpec,
 )
+from cemkit.model import is_absorbed
 
 
 class TestBernoulliParams:
@@ -46,6 +47,8 @@ class TestBernoulliParams:
             BernoulliParams(np.array([-0.1, 0.5]))
         with pytest.raises(ValueError):
             BernoulliParams(np.array([0.5, 1.1]))
+        with pytest.raises(ValueError):
+            BernoulliParams(np.array([0.5, np.nan]))
 
     def test_uniform_init(self):
         p = BernoulliParams.uniform_init(4)
@@ -143,6 +146,19 @@ class TestIsBinaryConverged:
     def test_detects_absorption(self):
         assert is_binary_converged(BernoulliParams(np.array([0.0005, 0.9999])), 1e-3)
         assert not is_binary_converged(BernoulliParams(np.array([0.0005, 0.9])), 1e-3)
+
+    def test_is_absorbed_matches_the_all_form(self):
+        # The engines' early-stop test against the definition, with
+        # entries at 0, 1, exactly eps and 1 - eps and just inside them.
+        rng = np.random.default_rng(3)
+        for eps in (1e-6, 1e-3, 0.1, 0.49):
+            edge = np.array([0.0, 1.0, eps, 1.0 - eps, np.nextafter(eps, 1.0),
+                             np.nextafter(1.0 - eps, 0.0), 0.5])
+            for _ in range(200):
+                p = rng.choice(edge, size=int(rng.integers(1, 6)))
+                expected = bool(np.all((p <= eps) | (p >= 1.0 - eps)))
+                assert is_absorbed(p, eps) is expected
+                assert is_binary_converged(BernoulliParams(p), eps) is expected
 
     def test_eps_domain(self):
         p = BernoulliParams(np.array([0.5]))

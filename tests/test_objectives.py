@@ -198,8 +198,21 @@ def _rows(n, seed):
         ProblemSpec(kind="trap_k", n=12, k=3),
         ProblemSpec(kind="trap_k", n=40, k=8),
         ProblemSpec(kind="trap_k", n=100, k=5),
+        # The single-row trap kernel widens its byte lanes as k grows:
+        # one byte up to k=128, two from k=129, so k=255 and k=256 too.
+        ProblemSpec(kind="trap_k", n=256, k=128),
+        ProblemSpec(kind="trap_k", n=258, k=129),
+        ProblemSpec(kind="trap_k", n=510, k=255),
+        ProblemSpec(kind="trap_k", n=512, k=256),
+        ProblemSpec(kind="trap_k", n=1000, k=4),
+        ProblemSpec(kind="trap_k", n=64, k=2),
         ProblemSpec(kind="maxcut", n=10, edges=((0, 1), (1, 2), (2, 9), (3, 7), (4, 5), (9, 0))),
         ProblemSpec(kind="maxcut", n=30, edges=tuple((i, (7 * i + 3) % 30) for i in range(30))),
+        # Repeated and reversed edges count as often as listed; vertex 7
+        # is on no edge.
+        ProblemSpec(
+            kind="maxcut", n=8, edges=((0, 1), (1, 0), (0, 1), (2, 5), (5, 2), (3, 4), (6, 3))
+        ),
     ],
     ids=lambda s: f"{s.kind}_{s.n}" + (f"_k{s.k}" if s.k else ""),
 )
@@ -210,6 +223,41 @@ def test_fn_equals_batch_fn_bit_for_bit(spec):
     rows = _rows(spec.n, spec.n)
     single = np.array([obj.fn(r) for r in rows], dtype=np.float64)
     assert np.array_equal(single, obj.batch_fn(rows))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ProblemSpec(kind="onemax", n=12),
+        ProblemSpec(kind="leading_ones", n=12),
+        ProblemSpec(kind="weighted_linear", n=12, weights=tuple(range(-6, 6))),
+        ProblemSpec(kind="trap_k", n=12, k=3),
+        ProblemSpec(kind="trap_k", n=12, k=12),
+        ProblemSpec(kind="maxcut", n=12, edges=tuple((i, (5 * i + 1) % 12) for i in range(12))),
+    ],
+    ids=lambda s: f"{s.kind}_{s.n}" + (f"_k{s.k}" if s.k else ""),
+)
+def test_fn_takes_any_form_of_a_0_1_row(spec):
+    # fn reads a row's bytes: every form of the same 0/1 row must give
+    # the value of its contiguous uint8 form.
+    obj = make_objective(spec)
+    rows = _rows(spec.n, 7)
+    fortran = np.asfortranarray(rows)
+    strided = np.zeros((len(rows), 2 * spec.n), np.uint8)
+    strided[:, ::2] = rows
+    for i, row in enumerate(rows):
+        expected = obj.fn(row)
+        forms = [
+            row.astype(bool),
+            row.astype(np.int64),
+            row.tolist(),
+            fortran[i],
+            strided[i, ::2],
+        ]
+        assert not forms[3].flags.contiguous and not forms[4].flags.contiguous
+        for form in forms:
+            value = obj.fn(form)
+            assert type(value) is float and value == expected
 
 
 def test_weighted_linear_fn_and_batch_fn_agree_within_rounding():
