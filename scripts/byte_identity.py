@@ -1,0 +1,176 @@
+"""Compare the CLI's outputs at a git ref with those of the working tree.
+
+    python3 scripts/byte_identity.py REF
+
+Extracts `git archive REF` into a temporary directory, then runs the same
+CLI commands against both source trees: `run`, `compare` and
+`sweep-alpha`, each as CSV and as JSON, plus `config-dump`, over a fixed
+grid of configs. The grid covers five problem kinds x three variants x
+snapshot_stride 1 and default x eps_conv set and unset (60 configs); the
+memoryless configs cycle through the three delta estimators. Every
+(stdout, stderr, exit code) triple must be equal, and every command must
+exit 0, or the script prints what differs and exits 1.
+
+Each config runs in its own interpreter per tree, which calls
+`cemkit.cli.main` once per command with PYTHONPATH set to that tree's
+`src`; two such interpreters run at a time. Configs are written once and read by both trees from the same
+paths, so error messages that name a path compare equal too.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import itertools
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+WORKERS = 2
+
+PROBLEMS = [
+    {"kind": "onemax", "n": 10},
+    {"kind": "leading_ones", "n": 8},
+    {"kind": "trap_k", "n": 10, "k": 5},
+    {
+        "kind": "maxcut", "n": 10,
+        "edges": [[0, 1], [0, 4], [1, 2], [1, 7], [2, 3], [2, 8], [3, 4], [3, 9],
+                  [4, 5], [5, 6], [5, 9], [6, 7], [6, 2], [7, 8], [8, 9], [9, 0]],
+    },
+    {"kind": "weighted_linear", "n": 8, "weights": [1.5, -0.25, 2.0, 0.75, -1.0, 3.0, 0.5, 1.25]},
+]
+VARIANTS = ("batch", "window", "memoryless")
+ESTIMATORS = (
+    {"estimator": "gauss_model"},
+    {"estimator": "uniform_model", "delta_init": 0.05},
+    {"estimator": "constant", "delta0": 0.3},
+)
+COMMANDS = (
+    ["run"],
+    ["run", "--format", "json"],
+    ["compare"],
+    ["compare", "--format", "json"],
+    ["sweep-alpha"],
+    ["sweep-alpha", "--format", "json"],
+    ["config-dump"],
+)
+
+
+def grid():
+    """The 60 configs, each a plain dict ready for json.dump."""
+    memoryless = itertools.cycle(ESTIMATORS)
+    out = []
+    for i, (problem, variant, stride, eps) in enumerate(
+        itertools.product(PROBLEMS, VARIANTS, (1, None), (0.01, None))
+    ):
+        cfg = {
+            "problem": problem, "variant": variant,
+            "N": 20, "rho": 0.1, "alpha": 0.7, "T": 15, "K": 300,
+            "replicates": 3, "base_seed": 100 + 7 * i, "alphas": [0.7, 0.2],
+            "snapshot_stride": stride, "eps_conv": eps, "jobs": 1,
+        }
+        if variant == "memoryless":
+            cfg.update(next(memoryless))
+        out.append(cfg)
+    return out
+
+
+def worker(config: str) -> None:
+    """Run every command on one config in this interpreter; print the triples as JSON."""
+    from cemkit import cli
+
+    triples = []
+    for argv in COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main([argv[0], "--config", config, *argv[1:]])
+            except SystemExit as exc:  # argparse rejects its input this way
+                code = exc.code
+        triples.append([" ".join(argv), out.getvalue(), err.getvalue(), code])
+    json.dump({"cemkit": cli.__file__, "triples": triples}, sys.stdout)
+
+
+def run_tree(tree: Path, config: Path):
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--worker", str(config)],
+        env=env, cwd=tree, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"worker for {config} in {tree} failed:\n{proc.stderr}")
+    result = json.loads(proc.stdout)
+    if not Path(result["cemkit"]).resolve().is_relative_to(tree.resolve()):
+        raise RuntimeError(f"worker in {tree} imported cemkit from {result['cemkit']}")
+    return result["triples"]
+
+
+def first_difference(a, b, ref: str) -> str:
+    if not isinstance(a, str) or not isinstance(b, str):
+        return f"{ref} {a!r} != working tree {b!r}"
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(itertools.zip_longest(lines_a, lines_b)):
+        if x != y:
+            return f"line {i + 1}: {ref} {x!r:.160} != working tree {y!r:.160}"
+    return f"line endings differ ({len(a)} vs {len(b)} characters)"
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("ref", nargs="?", help="git ref to compare the working tree against")
+    parser.add_argument("--worker", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.worker is not None:
+        worker(args.worker)
+        return 0
+    if args.ref is None:
+        parser.error("REF is required")
+
+    tmp = Path(tempfile.mkdtemp(prefix="byte_identity_"))
+    try:
+        ref_tree = tmp / "ref"
+        ref_tree.mkdir()
+        archive = subprocess.run(
+            ["git", "-C", str(REPO), "archive", args.ref], capture_output=True, check=True
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", str(ref_tree)], input=archive, check=True)
+        configs = []
+        for i, cfg in enumerate(grid()):
+            path = tmp / f"config_{i:02d}.json"
+            path.write_text(json.dumps(cfg, indent=1) + "\n")
+            configs.append(path)
+
+        tasks = [(tree, c) for c in configs for tree in (ref_tree, REPO)]
+        with ThreadPoolExecutor(WORKERS) as pool:
+            results = list(pool.map(lambda t: run_tree(*t), tasks))
+
+        compared = differ = failed = 0
+        for k, path in enumerate(configs):
+            ref, new = results[2 * k], results[2 * k + 1]
+            for (cmd, *want), (_, *got) in zip(ref, new):
+                compared += 1
+                if want != got:
+                    differ += 1
+                    print(f"DIFFERS: {cmd} on {path.name}")
+                    for name, a, b in zip(("stdout", "stderr", "exit"), want, got):
+                        if a != b:
+                            print(f"  {name}: {first_difference(a, b, args.ref)}")
+                if want[2] != 0 or got[2] != 0:
+                    failed += 1
+                    print(f"EXIT {want[2]}/{got[2]}: {cmd} on {path.name}: {got[1].strip()!r:.200}")
+        print(f"{compared} triples over {len(configs)} configs: {compared - differ} identical, "
+              f"{differ} differ, {failed} with a non-zero exit")
+        return 1 if differ or failed else 0
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -44,7 +44,6 @@ from .model import (
     RngStream,
     draw_sample,
     elite_count,
-    evaluate,
     is_binary_converged,
     negated,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "RngStream",
     "draw_sample",
     "elite_count",
-    "evaluate",
     "is_binary_converged",
     "negated",
     "normal_cdf",

@@ -9,7 +9,7 @@ variants are measured against.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -63,7 +63,6 @@ class GenerationResult:
     """Outcome of a single generation."""
 
     gamma: float
-    elite: List[EvaluatedSample]
     new_params: BernoulliParams
     best: EvaluatedSample
 
@@ -129,14 +128,10 @@ def batch_generation(
         raise non_finite_value("batch", draw_base + i, float(values[i]))
     order = np.lexsort((np.arange(N), -values))
     gamma = float(values[order[n_b - 1]])
-    elite = [
-        EvaluatedSample(bits=bits[i].copy(), value=float(values[i]), draw_index=draw_base + int(i))
-        for i in order[:n_b]
-    ]
-    new_params = batch_update([s.bits for s in elite], params, alpha, n_b)
+    new_params = batch_update(bits[order[:n_b]], params, alpha, n_b)
     top = int(order[0])
     best = EvaluatedSample(bits=bits[top].copy(), value=float(values[top]), draw_index=draw_base + top)
-    return GenerationResult(gamma=gamma, elite=elite, new_params=new_params, best=best)
+    return GenerationResult(gamma=gamma, new_params=new_params, best=best)
 
 
 def run_batch(config: BatchConfig, obj: Objective, rng: RngStream) -> RunTrace:

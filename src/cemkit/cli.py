@@ -36,8 +36,8 @@ from .harness import (
     sweep_to_json,
 )
 from .memoryless import delta0_gauss
-from .model import RngStream
-from .oracles import order_gap_mc
+from .model import RngStream, elite_count
+from .oracles import MIN_REPS, order_gap_mc
 
 CALIBRATION_SCHEMA = "cemkit-calibration-v1"
 
@@ -153,6 +153,16 @@ def _cmd_calibrate(args) -> int:
         out = args.out
     seed = args.seed if args.seed is not None else 12345
     reps = args.reps
+    if reps < MIN_REPS:
+        raise ConfigError(f"reps: must be >= {MIN_REPS} for a usable estimate, got {reps}")
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
+    # The gap below the ceil(rho*N)-th largest of N values needs that rank
+    # below N, and the Gaussian delta0 needs 1 - rho + 1/N below 1.
+    if n_pop * rho <= 1.0 or elite_count(n_pop, rho) >= n_pop:
+        raise ConfigError(
+            f"N: calibration needs N > 1/rho and ceil(rho*N) < N, got N={n_pop}, rho={rho}"
+        )
 
     uniform = order_gap_mc(("uniform", 0.0, 1.0), n_pop, rho, reps, RngStream(seed))
     normal = order_gap_mc(("normal", 0.0, 1.0), n_pop, rho, reps, RngStream(seed + 1))

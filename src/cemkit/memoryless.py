@@ -78,16 +78,19 @@ class ThresholdState:
     prev_value: Optional[float] = None
 
     def __post_init__(self) -> None:
+        # Each range is written so that NaN fails it too (every comparison
+        # with NaN is False), and the upper bound inf keeps infinities out.
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"estimator: unknown estimator {self.estimator!r}")
-        if self.delta < 0.0:
+        # delta0 before delta: the constant estimator's delta is delta0.
+        if not 0.0 < self.delta0 < math.inf:
+            raise ConfigError(f"delta0: must be > 0, got {self.delta0}")
+        if not 0.0 <= self.delta < math.inf:
             raise ConfigError(f"delta: must be >= 0, got {self.delta}")
         # beta = 0 is allowed and freezes delta at its current value.
         if not 0.0 <= self.beta <= 1.0:
             raise ConfigError(f"beta: must be in [0,1], got {self.beta}")
-        if self.delta0 <= 0.0:
-            raise ConfigError(f"delta0: must be > 0, got {self.delta0}")
-        if self.delta_min < 0.0:
+        if not 0.0 <= self.delta_min < math.inf:
             raise ConfigError(f"delta_min: must be >= 0, got {self.delta_min}")
 
 
@@ -194,20 +197,14 @@ class MemorylessConfig:
             )
         if self.gamma0 is not None and not math.isfinite(self.gamma0):
             raise ConfigError(f"gamma0: must be finite, got {self.gamma0}")
-        if self.estimator not in ESTIMATORS:
-            raise ConfigError(f"estimator: unknown estimator {self.estimator!r}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ConfigError(f"beta: must be in [0,1], got {self.beta}")
         if self.estimator == "constant" and self.delta0 is None:
             raise ConfigError("delta0: required for the constant estimator")
-        if self.delta0 is not None and self.delta0 <= 0.0:
-            raise ConfigError(f"delta0: must be > 0, got {self.delta0}")
         if self.delta0_mode not in DELTA0_MODES:
             raise ConfigError(f"delta0_mode: unknown mode {self.delta0_mode!r}")
-        if self.delta_init < 0.0:
+        if not 0.0 <= self.delta_init < math.inf:
             raise ConfigError(f"delta_init: must be >= 0, got {self.delta_init}")
-        if self.delta_min < 0.0:
-            raise ConfigError(f"delta_min: must be >= 0, got {self.delta_min}")
+        # The walk state checks estimator, beta, delta0 and delta_min.
+        self.initial_state(0.0)
 
     def resolved_delta0(self) -> float:
         """The scale constant actually used: explicit value or the model's."""

@@ -22,7 +22,6 @@ __all__ = [
     "RngStream",
     "BlockSampler",
     "draw_sample",
-    "evaluate",
     "is_binary_converged",
     "is_absorbed",
     "elite_count",
@@ -215,14 +214,6 @@ class BlockSampler:
 def draw_sample(params: BernoulliParams, rng: RngStream) -> np.ndarray:
     """Draw one bit vector: bit i is 1 with probability probs[i], independently."""
     return (rng.random(params.n) < params.probs).astype(np.uint8)
-
-
-def evaluate(obj: Objective, bits: np.ndarray, draw_index: int = 0) -> EvaluatedSample:
-    """Evaluate a bit vector, caching the objective value with it."""
-    bits = np.asarray(bits, dtype=np.uint8)
-    if bits.ndim != 1 or bits.size != obj.n:
-        raise DimensionError(f"bit vector of length {bits.size}, objective expects {obj.n}")
-    return EvaluatedSample(bits=bits, value=float(obj.fn(bits)), draw_index=draw_index)
 
 
 def is_binary_converged(params: BernoulliParams, eps: float) -> bool:

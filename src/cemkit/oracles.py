@@ -33,6 +33,8 @@ _ENUM_CHUNK = 1 << 14
 # Rows simulated per batch of the Monte Carlo loop. A code constant,
 # not a knob: estimates must not depend on how the loop is blocked.
 _MC_CHUNK = 4096
+# Fewest repetitions order_gap_mc accepts.
+MIN_REPS = 10_000
 
 
 @dataclass(frozen=True)
@@ -84,8 +86,8 @@ def order_gap_mc(
     n_e = elite_count(N, rho)
     if n_e >= N:
         raise ValueError(f"gap rank {n_e}+1 exceeds N={N}")
-    if reps < 10_000:
-        raise ValueError(f"reps must be >= 10000 for a usable estimate, got {reps}")
+    if reps < MIN_REPS:
+        raise ValueError(f"reps must be >= {MIN_REPS} for a usable estimate, got {reps}")
 
     sum_gap = 0.0
     sumsq_gap = 0.0

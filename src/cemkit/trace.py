@@ -112,23 +112,6 @@ class SnapshotTable(Sequence[TraceSnapshot]):
         )
         return (TraceSnapshot(*row) for row in zip(*columns))
 
-    def append(
-        self,
-        step: int,
-        params: np.ndarray,
-        gamma: Optional[float],
-        delta: Optional[float],
-        best_value: Optional[float],
-        update_count: int,
-        sign_changes: np.ndarray,
-        elite_decisions: int,
-    ) -> None:
-        """Copy one snapshot into the next row."""
-        self.extend(
-            params[None], np.asarray(sign_changes)[None], (step,), (gamma,), (delta,),
-            (best_value,), (update_count,), (elite_decisions,),
-        )
-
     def extend(
         self,
         params: np.ndarray,

@@ -2,7 +2,7 @@
 
 One sample arrives per step. The elite decision compares the newest
 value against the ceil(rho*N)-th largest value in a window of the last
-N samples (newest included), and an elite sample moves the parameters
+N values (newest included), and an elite sample moves the parameters
 by the per-sample step alpha1 = alpha/ceil(rho*N). The first N draws
 only fill the window; no update happens during that warm-up.
 """
@@ -21,7 +21,6 @@ from .errors import ConfigError, DimensionError
 from .model import (
     BernoulliParams,
     BlockSampler,
-    EvaluatedSample,
     Objective,
     RngStream,
     check_run_settings,
@@ -41,18 +40,19 @@ __all__ = [
 
 
 class SampleWindow:
-    """FIFO buffer of the last N evaluated samples with a sorted value index.
+    """FIFO buffer of the last N sample values with a sorted index.
 
-    The deque gives O(1) eviction of the oldest entry; the parallel
-    sorted list of values gives O(log N) rank lookups and insertions,
-    keeping the per-step cost at O(log N) comparisons after warm-up.
+    The deque gives O(1) eviction of the oldest value; the parallel
+    sorted list gives O(log N) rank lookups and insertions, keeping the
+    per-step cost at O(log N) comparisons after warm-up. The deque holds
+    values in draw order, so the oldest is always on the left.
     """
 
     def __init__(self, capacity: int):
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._entries: Deque[EvaluatedSample] = deque()
+        self._values: Deque[float] = deque()
         self._sorted_values: List[float] = []
         # The (size, rho) the cached rank was computed for: after warm-up
         # the size stays N, so elite_count runs once per window.
@@ -60,22 +60,15 @@ class SampleWindow:
         self._rank = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._values)
 
-    @property
-    def entries(self) -> Tuple[EvaluatedSample, ...]:
-        return tuple(self._entries)
+    def append(self, value: float) -> None:
+        self._values.append(value)
+        insort(self._sorted_values, value)
 
-    def append(self, sample: EvaluatedSample) -> None:
-        if self._entries and sample.draw_index <= self._entries[-1].draw_index:
-            raise ValueError("draw_index must be strictly increasing within a window")
-        self._entries.append(sample)
-        insort(self._sorted_values, sample.value)
-
-    def evict_oldest(self) -> EvaluatedSample:
-        oldest = self._entries.popleft()
-        i = bisect_left(self._sorted_values, oldest.value)
-        del self._sorted_values[i]
+    def evict_oldest(self) -> float:
+        oldest = self._values.popleft()
+        del self._sorted_values[bisect_left(self._sorted_values, oldest)]
         return oldest
 
     def threshold(self, rho: float) -> float:
@@ -90,7 +83,7 @@ class SampleWindow:
     def threshold_resort(self, rho: float) -> float:
         """Same rank statistic by full re-sort; the slow oracle the sorted
         index is checked against in tests."""
-        vals = sorted((s.value for s in self._entries), reverse=True)
+        vals = sorted(self._values, reverse=True)
         return vals[elite_count(len(vals), rho) - 1]
 
 
@@ -125,10 +118,8 @@ def online_update(x: np.ndarray, params: BernoulliParams, alpha1: float) -> Bern
     return BernoulliParams((1.0 - alpha1) * params.probs + alpha1 * x)
 
 
-def window_step(
-    window: SampleWindow, x_new: EvaluatedSample, rho: float
-) -> Tuple[Optional[float], bool]:
-    """Per-sample elite decision. Call with x_new already appended.
+def window_step(window: SampleWindow, value: float, rho: float) -> Tuple[Optional[float], bool]:
+    """Per-sample elite decision. Call with the newest value already appended.
 
     While the buffer holds at most N entries nothing happens yet: no
     eviction, no threshold, not elite (warm-up). Once it overflows, the
@@ -141,7 +132,7 @@ def window_step(
         return None, False
     window.evict_oldest()
     gamma = window.threshold(rho)
-    return gamma, x_new.value >= gamma
+    return gamma, value >= gamma
 
 
 def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> RunTrace:
@@ -186,7 +177,7 @@ def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> R
         value = float(fn(bits))
         if not isfinite(value):
             raise non_finite_value("window", t, value)
-        append(EvaluatedSample(bits=bits, value=value, draw_index=t))
+        append(value)
         offer_best(bits, value, t)
         is_elite = False
         # window_step, inlined: the window overflows from draw N on.

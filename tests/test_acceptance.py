@@ -19,7 +19,6 @@ import pytest
 
 from cemkit import (
     BernoulliParams,
-    EvaluatedSample,
     ExperimentConfig,
     ProblemSpec,
     RngStream,
@@ -136,12 +135,9 @@ def test_criterion_04_window_vs_resort(capsys):
         rng = RngStream(1300 + s)
         values = rng.random(10_000)
         w = SampleWindow(100)
-        for t, v in enumerate(values):
-            sample = EvaluatedSample(
-                bits=np.empty(0, dtype=np.uint8), value=float(v), draw_index=t
-            )
-            w.append(sample)
-            gamma, _ = window_step(w, sample, 0.1)
+        for v in values.tolist():
+            w.append(v)
+            gamma, _ = window_step(w, v, 0.1)
             if gamma is not None and gamma != w.threshold_resort(0.1):
                 mismatches += 1
     _verdict(capsys, 4, "window vs resort oracle", mismatches == 0,

@@ -93,13 +93,18 @@ class TestBatchGeneration:
         assert gen.best.value == values.max()
 
     def test_elite_values_reevaluate(self):
-        # Cached values must be the objective of the stored bits.
+        # The update must be the mean of the top n_b rows by value, each
+        # value the objective of its row.
         obj = make_objective(ProblemSpec(kind="trap_k", n=10, k=5))
         p = BernoulliParams.uniform_init(10)
         gen = batch_generation(p, obj, RngStream(23), N=50, rho=0.1, alpha=0.7)
-        for s in gen.elite:
-            assert s.value == obj(s.bits)
-            assert s.value >= gen.gamma
+        bits = (RngStream(23).random((50, 10)) < p.probs).astype(np.uint8)
+        values = np.array([obj(row) for row in bits])
+        order = np.lexsort((np.arange(50), -values))
+        n_b = elite_count(50, 0.1)
+        assert (values[order[:n_b]] >= gen.gamma).all()
+        expect = batch_update(list(bits[order[:n_b]]), p, 0.7, n_b)
+        assert np.array_equal(gen.new_params.probs, expect.probs)
         assert gen.best.value == obj(gen.best.bits)
 
     def test_ties_break_by_draw_order(self):
@@ -108,7 +113,13 @@ class TestBatchGeneration:
         obj = make_objective(ProblemSpec(kind="weighted_linear", n=3, weights=(0.0,) * 3))
         p = BernoulliParams.uniform_init(3)
         gen = batch_generation(p, obj, RngStream(1), N=5, rho=0.4, alpha=0.5, draw_base=10)
-        assert [s.draw_index for s in gen.elite] == [10, 11]
+        bits = (RngStream(1).random((5, 3)) < p.probs).astype(np.uint8)
+        first = batch_update(list(bits[:2]), p, 0.5, 2)
+        assert np.array_equal(gen.new_params.probs, first.probs)
+        # The check can tell the first two rows from any other pair.
+        others = {batch_update([bits[i], bits[j]], p, 0.5, 2).probs.tobytes()
+                  for i in range(5) for j in range(i + 1, 5) if (i, j) != (0, 1)}
+        assert first.probs.tobytes() not in others
         assert gen.gamma == 0.0
         assert gen.best.draw_index == 10
 

@@ -242,6 +242,28 @@ class TestCalibrate:
         data = json.loads(out)
         assert data["N"] == 20 and data["rho"] == 0.2
 
+    def test_too_few_reps_is_a_config_error(self, capsys):
+        code, out, err = _run(capsys, ["calibrate-delta0", "--reps", "5"])
+        assert code == 2 and out == ""
+        assert err.startswith("config error: reps:")
+
+    def test_negative_seed_is_a_config_error(self, capsys):
+        code, out, err = _run(capsys, ["calibrate-delta0", "--reps", "10000", "--seed", "-1"])
+        assert code == 2 and out == ""
+        assert err.startswith("config error: seed:")
+
+    @pytest.mark.parametrize("n_pop, rho", [(10, 0.1), (2, 0.99)])
+    def test_population_too_small_is_a_config_error(self, capsys, tmp_path, n_pop, rho):
+        # N*rho = 1: the Gaussian delta0 needs 1 - rho + 1/N below 1.
+        # ceil(rho*N) = N: no value ranks below the elite boundary.
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**CFG, "N": n_pop, "rho": rho}))
+        code, out, err = _run(
+            capsys, ["calibrate-delta0", "--config", str(p), "--reps", "10000"]
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("config error: N:")
+
 
 class TestConfigDump:
     def test_default_dump(self, capsys):

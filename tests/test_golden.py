@@ -18,6 +18,11 @@ each online variant (three alphas, 12 replicates), and the memoryless
 `run` JSON of a config with eps_conv set, whose replicates stop at
 different steps. They were written the same way (`sweep-alpha` and
 `run --format json` on `trap5_10_<variant>.json`).
+
+`trap5_10_batch_run.json` freezes the batch engine's per-replicate
+rows: `run --format json` on `trap5_10_batch.json` (N=100, T=30 with
+the default 1e-6 early stop, so replicates stop after different
+generations, and one of the eight hits the optimum).
 """
 
 from pathlib import Path
@@ -57,3 +62,10 @@ def test_online_trap_output_matches_frozen_bytes(capsys, argv, config, frozen):
     out = capsys.readouterr()
     assert code == 0 and out.err == ""
     assert out.out.encode("utf-8") == (GOLDEN / frozen).read_bytes()
+
+
+def test_batch_run_matches_frozen_bytes(capsys):
+    code = cli.main(["run", "--config", str(GOLDEN / "trap5_10_batch.json"), "--format", "json"])
+    out = capsys.readouterr()
+    assert code == 0 and out.err == ""
+    assert out.out.encode("utf-8") == (GOLDEN / "trap5_10_batch_run.json").read_bytes()

@@ -132,14 +132,14 @@ class TestThresholdState:
     def test_validation(self):
         with pytest.raises(ConfigError, match="^estimator:"):
             ThresholdState(gamma=0.0, delta=1.0, estimator="ewma")
-        with pytest.raises(ConfigError, match="^delta:"):
-            ThresholdState(gamma=0.0, delta=-1.0)
         with pytest.raises(ConfigError, match="^beta:"):
             ThresholdState(gamma=0.0, delta=1.0, beta=1.5)
-        with pytest.raises(ConfigError, match="^delta0:"):
-            ThresholdState(gamma=0.0, delta=1.0, delta0=0.0)
-        with pytest.raises(ConfigError, match="^delta_min:"):
-            ThresholdState(gamma=0.0, delta=1.0, delta_min=-0.1)
+        # NaN passes every plain `x < 0` test, and inf passes them all.
+        for field, bad in [("delta", -1.0), ("delta", math.nan), ("delta", math.inf),
+                           ("delta0", 0.0), ("delta0", math.nan), ("delta0", math.inf),
+                           ("delta_min", -0.1), ("delta_min", math.nan), ("delta_min", math.inf)]:
+            with pytest.raises(ConfigError, match=f"^{field}:"):
+                ThresholdState(**{"gamma": 0.0, "delta": 1.0, field: bad})
 
 
 class TestMemorylessConfig:
@@ -180,12 +180,16 @@ class TestMemorylessConfig:
         assert st.delta0 == delta0_gauss(100, 0.1)
 
     def test_misc_validation(self):
-        with pytest.raises(ConfigError, match="^gamma0:"):
-            self._cfg(gamma0=math.inf)
-        with pytest.raises(ConfigError, match="^delta_init:"):
-            self._cfg(delta_init=-0.1)
-        with pytest.raises(ConfigError, match="^estimator:"):
-            self._cfg(estimator="none")
+        for field, bad in [("gamma0", math.inf), ("delta_init", -0.1), ("estimator", "none"),
+                           ("delta_init", math.nan), ("delta_init", math.inf),
+                           ("delta0", math.nan), ("delta0", math.inf), ("delta0", -1.0),
+                           ("delta_min", math.nan), ("delta_min", math.inf),
+                           ("beta", math.nan), ("delta0_mode", "median")]:
+            with pytest.raises(ConfigError, match=f"^{field}:"):
+                self._cfg(**{field: bad})
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="^delta0:"):
+                self._cfg(estimator="constant", delta0=bad)
 
 
 class TestRunMemoryless:

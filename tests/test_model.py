@@ -10,7 +10,6 @@ from cemkit import (
     RngStream,
     draw_sample,
     elite_count,
-    evaluate,
     is_binary_converged,
     make_objective,
     negated,
@@ -105,17 +104,6 @@ class TestDrawSample:
 
 
 class TestObjective:
-    def test_evaluate_caches_value(self):
-        obj = make_objective(ProblemSpec(kind="onemax", n=4))
-        s = evaluate(obj, [1, 0, 1, 1], draw_index=9)
-        assert s.value == 3.0
-        assert s.draw_index == 9
-
-    def test_evaluate_dimension_error(self):
-        obj = make_objective(ProblemSpec(kind="onemax", n=4))
-        with pytest.raises(DimensionError):
-            evaluate(obj, [1, 0, 1])
-
     def test_evaluate_many_matches_single(self):
         obj = make_objective(ProblemSpec(kind="onemax", n=6))
         batch = (np.random.default_rng(5).random((20, 6)) < 0.5).astype(np.uint8)

@@ -82,7 +82,7 @@ def test_table_adds_blocks_and_keeps_every_row():
     table = SnapshotTable(3)
     rows = [np.array([i, -i, 0.5], dtype=float) for i in range(count)]
     for i, row in enumerate(rows):
-        table.append(i, row, None, float(i), None, i, np.array([i, 2 * i, 0]), 3 * i)
+        table.extend(row[None], np.array([[i, 2 * i, 0]]), (i,), (None,), (float(i),), (None,), (i,), (3 * i,))
     assert len(table) == count
     blocks = table.param_blocks()
     assert [len(b) for b in blocks] == [4] * 6 + [1]

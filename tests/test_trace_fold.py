@@ -27,7 +27,6 @@ from cemkit import (
     delta_update,
     draw_sample,
     elite_count,
-    evaluate,
     is_binary_converged,
     make_objective,
     online_update,
@@ -299,13 +298,14 @@ def replay_window(cfg, obj, rng):
     window = SampleWindow(cfg.N)
     gamma, steps = None, 0
     for t in range(cfg.K):
-        sample = evaluate(obj, draw_sample(params, rng), t)
-        window.append(sample)
-        g, elite = window_step(window, sample, cfg.rho)
+        bits = draw_sample(params, rng)
+        value = float(obj.fn(bits))
+        window.append(value)
+        g, elite = window_step(window, value, cfg.rho)
         gamma = gamma if g is None else g
-        rec.offer_best(sample.bits, sample.value, t)
+        rec.offer_best(bits, value, t)
         if elite:
-            params = online_update(sample.bits, params, alpha1)
+            params = online_update(bits, params, alpha1)
             rec.update_applied(params.probs)
         steps = t + 1
         rec.maybe_snapshot(steps, gamma, None)
@@ -320,17 +320,18 @@ def replay_memoryless(cfg, obj, rng):
     rec = ReferenceRecorder("memoryless", params.probs, cfg.snapshot_stride or cfg.N, obj.optimal_value)
     state, steps = None, 0
     for t in range(cfg.K):
-        sample = evaluate(obj, draw_sample(params, rng), t)
+        bits = draw_sample(params, rng)
+        value = float(obj.fn(bits))
         if state is None:
-            state = cfg.initial_state(sample.value if cfg.gamma0 is None else cfg.gamma0)
-        rec.offer_best(sample.bits, sample.value, t)
-        elite = sample.value >= state.gamma
+            state = cfg.initial_state(value if cfg.gamma0 is None else cfg.gamma0)
+        rec.offer_best(bits, value, t)
+        elite = value >= state.gamma
         if elite:
-            params = online_update(sample.bits, params, alpha1)
+            params = online_update(bits, params, alpha1)
             rec.update_applied(params.probs)
         state = threshold_step(state, elite, cfg.rho)
         if state.estimator != "constant":
-            state = delta_update(state, sample.value)
+            state = delta_update(state, value)
         steps = t + 1
         rec.maybe_snapshot(steps, state.gamma, state.delta)
         if cfg.eps_conv is not None and elite and is_binary_converged(params, cfg.eps_conv):

@@ -9,7 +9,6 @@ from cemkit import (
     BernoulliParams,
     ConfigError,
     DimensionError,
-    EvaluatedSample,
     OnlineConfig,
     ProblemSpec,
     RngStream,
@@ -22,29 +21,23 @@ from cemkit import (
 )
 
 
-def _entry(value, idx):
-    return EvaluatedSample(bits=np.empty(0, dtype=np.uint8), value=float(value), draw_index=idx)
-
-
 class TestSampleWindow:
-    def test_append_requires_increasing_draw_index(self):
-        win = SampleWindow(3)
-        win.append(_entry(1.0, 0))
-        with pytest.raises(ValueError):
-            win.append(_entry(2.0, 0))
-
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             SampleWindow(0)
 
     def test_evict_oldest_with_duplicate_values(self):
+        # Values that tell the entries apart, out of sorted order: eviction
+        # returns them first in, first out, duplicates included.
+        values = [5.0, 8.0, 5.0, 3.0]
         win = SampleWindow(4)
-        for i, v in enumerate([5.0, 5.0, 3.0]):
-            win.append(_entry(v, i))
-        evicted = win.evict_oldest()
-        assert evicted.draw_index == 0
+        for v in values:
+            win.append(v)
+        assert win.evict_oldest() == 5.0
         # One copy of 5.0 must remain in the rank index.
-        assert win.threshold(0.3) == 5.0
+        assert win.threshold(0.5) == 5.0
+        assert [win.evict_oldest() for _ in range(3)] == values[1:]
+        assert len(win) == 0
 
     def test_threshold_empty(self):
         with pytest.raises(ValueError):
@@ -55,8 +48,8 @@ class TestSampleWindow:
         for _ in range(3):
             win = SampleWindow(40)
             vals = rng.normal(0, 1, 2000)
-            for t, v in enumerate(vals):
-                win.append(_entry(v, t))
+            for v in vals:
+                win.append(v)
                 if len(win) > 40:
                     win.evict_oldest()
                     assert win.threshold(0.1) == win.threshold_resort(0.1)
@@ -66,8 +59,8 @@ class TestSampleWindow:
         # filling and then draining, or with another rho, recompute it.
         rng = np.random.default_rng(3)
         win = SampleWindow(30)
-        for t, v in enumerate(rng.normal(0, 1, 30)):
-            win.append(_entry(v, t))
+        for v in rng.normal(0, 1, 30):
+            win.append(v)
             for rho in (0.1, 0.5, 0.5, 0.1):
                 assert win.threshold(rho) == win.threshold_resort(rho)
         while len(win) > 1:
@@ -83,20 +76,18 @@ class TestWindowStep:
     def test_warm_up_is_silent(self):
         win = SampleWindow(3)
         for i in range(3):
-            s = _entry(float(i), i)
-            win.append(s)
-            assert window_step(win, s, 0.5) == (None, False)
+            win.append(float(i))
+            assert window_step(win, float(i), 0.5) == (None, False)
         assert len(win) == 3
 
     def test_hand_example_elite(self):
         # Buffer after eviction {5,9,2,7} with 7 newest, rho=0.5:
         # gamma = 2nd largest = 7, and 7 >= 7 is elite.
         win = SampleWindow(4)
-        for i, v in enumerate([3, 5, 9, 2]):
-            win.append(_entry(v, i))
-        newest = _entry(7, 4)
-        win.append(newest)
-        gamma, is_elite = window_step(win, newest, 0.5)
+        for v in [3.0, 5.0, 9.0, 2.0]:
+            win.append(v)
+        win.append(7.0)
+        gamma, is_elite = window_step(win, 7.0, 0.5)
         assert gamma == 7.0
         assert is_elite
 
@@ -104,21 +95,19 @@ class TestWindowStep:
         # Same history but newest value 1: remaining {5,9,2,1} gives
         # gamma = 5 and 1 < 5.
         win = SampleWindow(4)
-        for i, v in enumerate([3, 5, 9, 2]):
-            win.append(_entry(v, i))
-        newest = _entry(1, 4)
-        win.append(newest)
-        gamma, is_elite = window_step(win, newest, 0.5)
+        for v in [3.0, 5.0, 9.0, 2.0]:
+            win.append(v)
+        win.append(1.0)
+        gamma, is_elite = window_step(win, 1.0, 0.5)
         assert gamma == 5.0
         assert not is_elite
 
     def test_strictly_better_newcomer_is_always_elite(self):
         win = SampleWindow(3)
-        for i, v in enumerate([1.0, 2.0, 3.0]):
-            win.append(_entry(v, i))
-        newest = _entry(99.0, 3)
-        win.append(newest)
-        _, is_elite = window_step(win, newest, 0.3)
+        for v in [1.0, 2.0, 3.0]:
+            win.append(v)
+        win.append(99.0)
+        _, is_elite = window_step(win, 99.0, 0.3)
         assert is_elite
 
 
@@ -181,9 +170,9 @@ class TestRunOnlineWindow:
         gamma = None
         for t in range(300):
             bits = (rng.random(8) < params.probs).astype(np.uint8)
-            s = EvaluatedSample(bits=bits, value=float(obj.fn(bits)), draw_index=t)
-            win.append(s)
-            g, is_elite = window_step(win, s, 0.1)
+            value = float(obj.fn(bits))
+            win.append(value)
+            g, is_elite = window_step(win, value, 0.1)
             if g is not None:
                 gamma = g
             if is_elite:
@@ -228,9 +217,8 @@ class TestRunOnlineWindow:
             last = None
             worst = 0
             for t, v in enumerate(vals.tolist()):
-                s = _entry(v, t)
-                win.append(s)
-                _, is_elite = window_step(win, s, 0.1)
+                win.append(v)
+                _, is_elite = window_step(win, v, 0.1)
                 if is_elite:
                     if last is not None:
                         worst = max(worst, t - last)
