@@ -7,9 +7,10 @@ CLI commands against both source trees: `run`, `compare` and
 `sweep-alpha`, each as CSV and as JSON, plus `config-dump`, over a fixed
 grid of configs. The grid covers five problem kinds x three variants x
 snapshot_stride 1 and default x eps_conv set and unset (60 configs); the
-memoryless configs cycle through the three delta estimators. Every
-(stdout, stderr, exit code) triple must be equal, and every command must
-exit 0, or the script prints what differs and exits 1.
+memoryless configs cycle through the three delta estimators, a pinned
+gamma0 and a delta_min above 0. Every (stdout, stderr, exit code) triple
+must be equal, and every command must exit 0, or the script prints what
+differs and exits 1.
 
 Each config runs in its own interpreter per tree, which calls
 `cemkit.cli.main` once per command with PYTHONPATH set to that tree's
@@ -51,6 +52,8 @@ ESTIMATORS = (
     {"estimator": "gauss_model"},
     {"estimator": "uniform_model", "delta_init": 0.05},
     {"estimator": "constant", "delta0": 0.3},
+    {"estimator": "uniform_model", "gamma0": 3.0},
+    {"estimator": "gauss_model", "delta_min": 0.1},
 )
 COMMANDS = (
     ["run"],

@@ -13,20 +13,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, DomainError
 from .model import (
     BernoulliParams,
-    BlockSampler,
     Objective,
     RngStream,
     check_run_settings,
-    elite_count,
-    is_absorbed,
     non_finite_value,
+    run_online,
 )
 from .normal import normal_ppf
 from .trace import RunTrace, TraceRecorder
@@ -65,11 +63,12 @@ GAUSS_CALIBRATED_COEFF = math.sqrt(math.pi) / 2.0
 class ThresholdState:
     """Scalar threshold-walk state plus the delta-estimator scratch.
 
-    prev_value is the previous sample's objective value, needed by the
+    gamma = None starts the walk at the first value it sees. prev_value
+    is the previous sample's objective value, needed by the
     |f_t - f_{t+1}| estimator; None until the first sample primes it.
     """
 
-    gamma: float
+    gamma: Optional[float]
     delta: float
     estimator: str = "constant"
     beta: float = 0.1
@@ -82,6 +81,8 @@ class ThresholdState:
         # with NaN is False), and the upper bound inf keeps infinities out.
         if self.estimator not in ESTIMATORS:
             raise ConfigError(f"estimator: unknown estimator {self.estimator!r}")
+        if self.gamma is not None and not -math.inf < self.gamma < math.inf:
+            raise ConfigError(f"gamma: must be None or finite, got {self.gamma}")
         # delta0 before delta: the constant estimator's delta is delta0.
         if not 0.0 < self.delta0 < math.inf:
             raise ConfigError(f"delta0: must be > 0, got {self.delta0}")
@@ -98,6 +99,8 @@ def threshold_step(state: ThresholdState, is_elite: bool, rho: float) -> Thresho
     """Move gamma one walk step; delta is untouched here."""
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0,1), got {rho}")
+    if state.gamma is None:
+        raise ValueError("gamma: threshold_step needs a set gamma, got None")
     if is_elite:
         return replace(state, gamma=state.gamma + (1.0 - rho) * state.delta)
     return replace(state, gamma=state.gamma - rho * state.delta)
@@ -214,7 +217,7 @@ class MemorylessConfig:
             return delta0_uniform(self.N)
         return delta0_gauss(self.N, self.rho, self.delta0_mode)
 
-    def initial_state(self, gamma: float) -> ThresholdState:
+    def initial_state(self, gamma: Optional[float]) -> ThresholdState:
         if self.estimator == "constant":
             d0 = self.resolved_delta0()
             return ThresholdState(
@@ -231,79 +234,52 @@ class MemorylessConfig:
         )
 
 
+def _walk(state: ThresholdState, rho: float) -> Tuple[Callable, Callable]:
+    """The memoryless elite rule, started from `state`.
+
+    Returns step(t, value), which decides whether value is elite
+    (f >= gamma), walks gamma and re-estimates delta unless the
+    estimator is constant, and read(), which returns (gamma, delta).
+    A None gamma takes the first value, which is then elite. The
+    arithmetic is threshold_step and delta_update on plain floats;
+    tests check it against them.
+    """
+    gamma, delta, prev_value = state.gamma, state.delta, state.prev_value
+    ewma = state.estimator != "constant"
+    forget, gain, delta_min = 1.0 - state.beta, state.beta * state.delta0, state.delta_min
+    up = 1.0 - rho
+
+    def step(t: int, value: float) -> bool:
+        nonlocal gamma, delta, prev_value
+        if gamma is None:
+            gamma = value
+        elite = value >= gamma
+        if elite:
+            gamma += up * delta
+        else:
+            gamma -= rho * delta
+        if ewma:
+            if prev_value is not None:
+                delta = forget * delta + gain * abs(value - prev_value)
+                if delta < delta_min:
+                    delta = delta_min
+            prev_value = value
+        return elite
+
+    return step, lambda: (gamma, delta)
+
+
 def run_memoryless(config: MemorylessConfig, obj: Objective, rng: RngStream) -> RunTrace:
     """Run K per-sample steps of the memoryless variant.
 
-    Per sample: draw (from a BlockSampler, the same bits as one draw
-    per step) and evaluate with obj.fn, decide elite by f >= gamma,
-    move the parameters on elite and gamma either way, then feed the
-    value to the delta estimator. State is a handful of scalars plus the parameter
-    vector, independent of N and K. A non-finite objective value raises
-    DomainError naming its draw.
+    The shared online loop (model.run_online) with the threshold walk as
+    its elite rule, started from config.initial_state(config.gamma0).
+    State is a handful of scalars plus the parameter vector, independent
+    of N and K. A non-finite objective value raises DomainError naming
+    its draw.
     """
-    params0 = config.p0 if config.p0 is not None else BernoulliParams.uniform_init(obj.n)
-    if params0.n != obj.n:
-        raise ConfigError(f"p0: dimension {params0.n} does not match objective dimension {obj.n}")
-    n_b = elite_count(config.N, config.rho)
-    alpha1 = config.alpha / n_b
-    stride = config.snapshot_stride if config.snapshot_stride is not None else config.N
-    recorder = TraceRecorder(
-        variant="memoryless",
-        params0=params0,
-        rho=config.rho,
-        alpha=config.alpha,
-        alpha1=alpha1,
-        snapshot_stride=stride,
-        optimal_value=obj.optimal_value,
-    )
-    offer_best, update_applied = recorder.offer_best, recorder.update_applied
-    maybe_snapshot = recorder.maybe_snapshot
-    probs = params0.probs.copy()
-    fn = obj.fn
-    isfinite = math.isfinite
-    rho = config.rho
-    up = 1.0 - rho
-    keep = 1.0 - alpha1
-    eps = config.eps_conv
-    ewma = config.estimator != "constant"
-    beta = config.beta
-    delta0 = config.resolved_delta0()
-    delta_min = config.delta_min
-    gamma = config.gamma0
-    delta = delta0 if config.estimator == "constant" else config.delta_init
-    prev_value: Optional[float] = None
-    sampler = BlockSampler(rng, probs, config.K)
-    next_bits, set_probs = sampler.next, sampler.set_probs
-    steps = 0
-    for t in range(config.K):
-        bits = next_bits()
-        value = float(fn(bits))
-        if not isfinite(value):
-            raise non_finite_value("memoryless", t, value)
-        if gamma is None:
-            gamma = value
-        offer_best(bits, value, t)
-        is_elite = value >= gamma
-        if is_elite:
-            probs = keep * probs + alpha1 * bits
-            set_probs(probs)
-            update_applied(probs)
-            gamma = gamma + up * delta
-        else:
-            gamma = gamma - rho * delta
-        if ewma:
-            if prev_value is None:
-                prev_value = value
-            else:
-                delta = (1.0 - beta) * delta + beta * delta0 * abs(value - prev_value)
-                if delta < delta_min:
-                    delta = delta_min
-                prev_value = value
-        steps = t + 1
-        maybe_snapshot(steps, gamma, delta)
-        if is_elite and eps is not None and is_absorbed(probs, eps):
-            break
-    return recorder.finish(steps, gamma, delta)
+    step, read = _walk(config.initial_state(config.gamma0), config.rho)
+    return run_online("memoryless", config, obj, rng, TraceRecorder, step, read)
 
 
 def run_threshold_stream(
@@ -311,37 +287,22 @@ def run_threshold_stream(
 ) -> Tuple[int, ThresholdState]:
     """Threshold dynamics alone over a fixed value stream.
 
-    No sampling and no parameter updates: each value is tested against
-    gamma, gamma walks, delta is re-estimated when the estimator is not
-    constant. Returns the elite count and the final state. This is the
-    frozen-sampler experiment used to check that the long-run elite
-    fraction settles at rho; the arithmetic is inlined for speed and is
-    verified against threshold_step/delta_update replay in tests.
+    No sampling and no parameter updates: the memoryless walk (the
+    same step as run_memoryless) over the values. Returns the elite
+    count and the final state. This is the frozen-sampler experiment
+    used to check that the long-run elite fraction settles at rho. A
+    non-finite value raises DomainError naming its index.
     """
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0,1), got {rho}")
-    gamma = state.gamma
-    delta = state.delta
-    ewma = state.estimator != "constant"
-    beta = state.beta
-    delta0 = state.delta0
-    delta_min = state.delta_min
-    prev_value = state.prev_value
-    n_elite = 0
-    up = 1.0 - rho
-    for value in np.asarray(values, dtype=np.float64).tolist():
-        if value >= gamma:
-            n_elite += 1
-            gamma += up * delta
-        else:
-            gamma -= rho * delta
-        if ewma:
-            if prev_value is None:
-                prev_value = value
-            else:
-                delta = (1.0 - beta) * delta + beta * delta0 * abs(value - prev_value)
-                if delta < delta_min:
-                    delta = delta_min
-                prev_value = value
-    final = replace(state, gamma=gamma, delta=delta, prev_value=prev_value)
-    return n_elite, final
+    arr = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise non_finite_value("threshold_stream", int(bad[0]), float(arr[bad[0]]))
+    vals = arr.tolist()
+    step, read = _walk(state, rho)
+    n_elite = sum(map(step, range(len(vals)), vals))
+    gamma, delta = read()
+    # The walk keeps each value as prev_value unless delta is constant.
+    prev = vals[-1] if vals and state.estimator != "constant" else state.prev_value
+    return n_elite, replace(state, gamma=gamma, delta=delta, prev_value=prev)

@@ -1,4 +1,5 @@
-"""Core domain types shared by all optimizer variants.
+"""Core domain types shared by all optimizer variants, and the
+per-sample loop (run_online) the two online variants share.
 
 Everything operates on dense 0/1 bit vectors of a fixed dimension n.
 Objective values are maximized throughout; wrap an objective with
@@ -9,11 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, DomainError
+
+if TYPE_CHECKING:
+    from .trace import RunTrace
 
 __all__ = [
     "BernoulliParams",
@@ -27,6 +31,7 @@ __all__ = [
     "elite_count",
     "check_run_settings",
     "non_finite_value",
+    "run_online",
     "negated",
 ]
 
@@ -274,3 +279,71 @@ def non_finite_value(variant: str, draw_index: int, value: float) -> DomainError
     return DomainError(
         f"{variant}: objective returned the non-finite value {value!r} at draw {draw_index}"
     )
+
+
+def run_online(
+    variant: str,
+    config,
+    obj: Objective,
+    rng: RngStream,
+    recorder_class: type,
+    is_elite: Callable[[int, float], bool],
+    state: Callable[[], Tuple[Optional[float], Optional[float]]],
+) -> "RunTrace":
+    """Run K per-sample steps of an online variant: the loop both share.
+
+    Per step: draw a bit vector (from a BlockSampler, the same bits as
+    one draw per step), evaluate it with obj.fn, and ask the variant's
+    elite rule is_elite(t, value) about it. An elite sample moves the
+    parameters by alpha1 = alpha/ceil(rho*N) toward itself. state()
+    returns the rule's (gamma, delta); it is read at snapshot steps and
+    at the end. A non-finite objective value raises DomainError naming
+    the variant and its draw. recorder_class is the engine module's
+    TraceRecorder, so a stand-in bound there is the one a run uses.
+
+    config is an OnlineConfig or a MemorylessConfig: N, rho, alpha, K,
+    p0, eps_conv and snapshot_stride are read. eps_conv set stops the
+    run early on 0/1 absorption.
+    """
+    params0 = config.p0 if config.p0 is not None else BernoulliParams.uniform_init(obj.n)
+    if params0.n != obj.n:
+        raise ConfigError(f"p0: dimension {params0.n} does not match objective dimension {obj.n}")
+    alpha1 = config.alpha / elite_count(config.N, config.rho)
+    stride = config.snapshot_stride if config.snapshot_stride is not None else config.N
+    recorder = recorder_class(
+        variant=variant,
+        params0=params0,
+        rho=config.rho,
+        alpha=config.alpha,
+        alpha1=alpha1,
+        snapshot_stride=stride,
+        optimal_value=obj.optimal_value,
+    )
+    offer_best, update_applied = recorder.offer_best, recorder.update_applied
+    maybe_snapshot = recorder.maybe_snapshot
+    probs = params0.probs.copy()
+    fn = obj.fn
+    isfinite = math.isfinite
+    keep = 1.0 - alpha1
+    eps = config.eps_conv
+    sampler = BlockSampler(rng, probs, config.K)
+    next_bits, set_probs = sampler.next, sampler.set_probs
+    steps = 0
+    for t in range(config.K):
+        bits = next_bits()
+        value = float(fn(bits))
+        if not isfinite(value):
+            raise non_finite_value(variant, t, value)
+        offer_best(bits, value, t)
+        elite = is_elite(t, value)
+        if elite:
+            probs = keep * probs + alpha1 * bits
+            set_probs(probs)
+            update_applied(probs)
+        steps = t + 1
+        if steps % stride == 0:
+            gamma, delta = state()
+            maybe_snapshot(steps, gamma, delta)
+        if elite and eps is not None and is_absorbed(probs, eps):
+            break
+    return recorder.finish(steps, *state())

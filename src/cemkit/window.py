@@ -12,21 +12,18 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from math import isfinite
 from typing import Deque, List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError
+from .errors import DimensionError
 from .model import (
     BernoulliParams,
-    BlockSampler,
     Objective,
     RngStream,
     check_run_settings,
     elite_count,
-    is_absorbed,
-    non_finite_value,
+    run_online,
 )
 from .trace import RunTrace, TraceRecorder
 
@@ -138,59 +135,25 @@ def window_step(window: SampleWindow, value: float, rho: float) -> Tuple[Optiona
 def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> RunTrace:
     """Run K per-sample steps of the sliding-window variant.
 
-    Bits come from a BlockSampler (the same bits as one draw per step)
-    and each is evaluated with obj.fn as it is consumed. A non-finite
-    objective value raises DomainError naming its draw.
+    The shared online loop (model.run_online) with the window's elite
+    rule: window_step, inlined. A non-finite objective value raises
+    DomainError naming its draw.
     """
-    params0 = config.p0 if config.p0 is not None else BernoulliParams.uniform_init(obj.n)
-    if params0.n != obj.n:
-        raise ConfigError(f"p0: dimension {params0.n} does not match objective dimension {obj.n}")
-    n_b = elite_count(config.N, config.rho)
-    alpha1 = config.alpha / n_b
-    stride = config.snapshot_stride if config.snapshot_stride is not None else config.N
-    recorder = TraceRecorder(
-        variant="window",
-        params0=params0,
-        rho=config.rho,
-        alpha=config.alpha,
-        alpha1=alpha1,
-        snapshot_stride=stride,
-        optimal_value=obj.optimal_value,
-    )
     # The window holds one extra slot so appending the newest sample can
     # precede the overflow test, as the update order requires.
     window = SampleWindow(config.N)
     append, evict_oldest, threshold = window.append, window.evict_oldest, window.threshold
-    offer_best, update_applied = recorder.offer_best, recorder.update_applied
-    maybe_snapshot = recorder.maybe_snapshot
-    probs = params0.probs.copy()
-    fn = obj.fn
     N, rho = config.N, config.rho
-    keep = 1.0 - alpha1
-    eps = config.eps_conv
     gamma: Optional[float] = None
-    sampler = BlockSampler(rng, probs, config.K)
-    next_bits, set_probs = sampler.next, sampler.set_probs
-    steps = 0
-    for t in range(config.K):
-        bits = next_bits()
-        value = float(fn(bits))
-        if not isfinite(value):
-            raise non_finite_value("window", t, value)
+
+    def is_elite(t: int, value: float) -> bool:
+        nonlocal gamma
         append(value)
-        offer_best(bits, value, t)
-        is_elite = False
-        # window_step, inlined: the window overflows from draw N on.
-        if t >= N:
-            evict_oldest()
-            gamma = threshold(rho)
-            if value >= gamma:
-                is_elite = True
-                probs = keep * probs + alpha1 * bits
-                set_probs(probs)
-                update_applied(probs)
-        steps = t + 1
-        maybe_snapshot(steps, gamma, None)
-        if is_elite and eps is not None and is_absorbed(probs, eps):
-            break
-    return recorder.finish(steps, gamma, None)
+        # The window overflows from draw N on.
+        if t < N:
+            return False
+        evict_oldest()
+        gamma = threshold(rho)
+        return value >= gamma
+
+    return run_online("window", config, obj, rng, TraceRecorder, is_elite, lambda: (gamma, None))

@@ -1,6 +1,7 @@
 """Memoryless engine: threshold walk, delta estimators, full runs."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -53,6 +54,13 @@ class TestThresholdStep:
         for rho in (0.0, 1.0, -0.5):
             with pytest.raises(ValueError):
                 threshold_step(st, True, rho)
+
+    def test_unset_gamma_rejected(self):
+        # gamma = None is a valid start for the walk, but one step of it
+        # needs a threshold to move.
+        st = ThresholdState(gamma=None, delta=1.0)
+        with pytest.raises(ValueError, match="^gamma:"):
+            threshold_step(st, True, 0.1)
 
 
 class TestDelta0Models:
@@ -137,7 +145,8 @@ class TestThresholdState:
         # NaN passes every plain `x < 0` test, and inf passes them all.
         for field, bad in [("delta", -1.0), ("delta", math.nan), ("delta", math.inf),
                            ("delta0", 0.0), ("delta0", math.nan), ("delta0", math.inf),
-                           ("delta_min", -0.1), ("delta_min", math.nan), ("delta_min", math.inf)]:
+                           ("delta_min", -0.1), ("delta_min", math.nan), ("delta_min", math.inf),
+                           ("gamma", math.nan), ("gamma", math.inf), ("gamma", -math.inf)]:
             with pytest.raises(ConfigError, match=f"^{field}:"):
                 ThresholdState(**{"gamma": 0.0, "delta": 1.0, field: bad})
 
@@ -275,23 +284,27 @@ class TestRunMemoryless:
 class TestRunThresholdStream:
     def test_matches_pure_function_replay(self):
         vals = RngStream(99).normal(0.0, 1.0, 500)
-        st0 = ThresholdState(
-            gamma=float(vals[0]), delta=0.0, estimator="gauss_model",
-            beta=0.1, delta0=delta0_gauss(100, 0.1),
-        )
-        n_elite, fin = run_threshold_stream(vals, st0, 0.1)
+        # gamma = None starts the walk at the first value.
+        for gamma in (float(vals[0]), None):
+            st0 = ThresholdState(
+                gamma=gamma, delta=0.0, estimator="gauss_model",
+                beta=0.1, delta0=delta0_gauss(100, 0.1),
+            )
+            n_elite, fin = run_threshold_stream(vals, st0, 0.1)
 
-        st = st0
-        count = 0
-        for v in vals.tolist():
-            is_elite = v >= st.gamma
-            count += is_elite
-            st = threshold_step(st, is_elite, 0.1)
-            st = delta_update(st, v)
-        assert n_elite == count
-        assert fin.gamma == st.gamma
-        assert fin.delta == st.delta
-        assert fin.prev_value == st.prev_value
+            st = st0
+            count = 0
+            for v in vals.tolist():
+                if st.gamma is None:
+                    st = replace(st, gamma=v)
+                is_elite = v >= st.gamma
+                count += is_elite
+                st = threshold_step(st, is_elite, 0.1)
+                st = delta_update(st, v)
+            assert n_elite == count
+            assert fin.gamma == st.gamma
+            assert fin.delta == st.delta
+            assert fin.prev_value == st.prev_value
 
     def test_constant_estimator_keeps_delta(self):
         vals = RngStream(3).random(200)
@@ -304,3 +317,13 @@ class TestRunThresholdStream:
         st = ThresholdState(gamma=0.0, delta=1.0)
         with pytest.raises(ValueError):
             run_threshold_stream(np.zeros(5), st, 0.0)
+
+    @pytest.mark.parametrize("estimator", ESTIMATORS)
+    def test_non_finite_value_rejected(self, estimator):
+        # The constant walk would count NaN as non-elite; the model
+        # estimators would carry it into delta.
+        st = ThresholdState(gamma=0.0, delta=0.1, estimator=estimator)
+        with pytest.raises(DomainError, match=r"non-finite value nan at draw 1$"):
+            run_threshold_stream([1.0, math.nan, 3.0, 0.5], st, 0.1)
+        with pytest.raises(DomainError, match=r"non-finite value -inf at draw 2$"):
+            run_threshold_stream([1.0, 2.0, -math.inf, math.nan], st, 0.1)

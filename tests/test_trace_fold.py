@@ -36,7 +36,8 @@ from cemkit import (
     threshold_step,
     window_step,
 )
-from cemkit import memoryless
+from cemkit import batch, memoryless
+from cemkit import window as window_module
 from cemkit import trace as trace_module
 
 DEFAULT_LOG_VALUES = trace_module._LOG_BLOCK_VALUES
@@ -388,6 +389,9 @@ def engine_cases(draw):
             cfg = MemorylessConfig(
                 **common, estimator=draw(st.sampled_from(["gauss_model", "uniform_model", "constant"])),
                 delta0=0.5 if common["eps_conv"] is None else 0.3,
+                gamma0=draw(st.one_of(st.none(), st.floats(-1.0, 6.0))),
+                delta_min=draw(st.sampled_from([0.0, 0.05, 0.3])),
+                beta=draw(st.sampled_from([0.0, 0.1, 0.5, 1.0])),
             )
     return variant, obj, cfg, draw(st.sampled_from(LOG_ROWS)), draw(st.integers(0, 50))
 
@@ -405,3 +409,39 @@ def test_engines_match_pure_function_replay(case):
     for block in run.snapshots.param_blocks():
         assert np.all((block >= 0.0) & (block <= 1.0))
     assert analyze(run, obj).envelope_violations == 0
+
+
+@pytest.mark.parametrize("variant", ["batch", "window", "memoryless"])
+def test_engines_build_their_module_recorder_and_window(monkeypatch, variant):
+    # A run takes TraceRecorder (and the window engine SampleWindow) from
+    # its engine module's namespace at call time, so a stand-in bound
+    # there sees every event of the run; timing tools rely on it.
+    calls = {"finish": 0, "updates": 0, "threshold": 0}
+
+    class CountingRecorder(TraceRecorder):
+        def update_applied(self, new_params, elites=1):
+            calls["updates"] += 1
+            TraceRecorder.update_applied(self, new_params, elites)
+
+        def finish(self, steps, gamma, delta):
+            calls["finish"] += 1
+            return TraceRecorder.finish(self, steps, gamma, delta)
+
+    class CountingWindow(SampleWindow):
+        def threshold(self, rho):
+            calls["threshold"] += 1
+            return SampleWindow.threshold(self, rho)
+
+    engine_module = {"batch": batch, "window": window_module, "memoryless": memoryless}[variant]
+    monkeypatch.setattr(engine_module, "TraceRecorder", CountingRecorder)
+    monkeypatch.setattr(window_module, "SampleWindow", CountingWindow)
+    N, K = 20, 150
+    cfg = {
+        "batch": BatchConfig(N=N, rho=0.1, alpha=0.5, T=5),
+        "window": OnlineConfig(N=N, rho=0.1, alpha=0.5, K=K),
+        "memoryless": MemorylessConfig(N=N, rho=0.1, alpha=0.5, K=K),
+    }[variant]
+    run = ENGINES[variant][0](cfg, OBJECTIVES["onemax"], RngStream(3))
+    assert calls["finish"] == 1
+    assert calls["updates"] == run.update_count > 0
+    assert calls["threshold"] == (K - N if variant == "window" else 0)
