@@ -4,13 +4,16 @@
 
 Extracts `git archive REF` into a temporary directory, then runs the same
 CLI commands against both source trees: `run`, `compare` and
-`sweep-alpha`, each as CSV and as JSON, plus `config-dump`, over a fixed
-grid of configs. The grid covers five problem kinds x three variants x
-snapshot_stride 1 and default x eps_conv set and unset (60 configs); the
-memoryless configs cycle through the three delta estimators, a pinned
-gamma0 and a delta_min above 0. Every (stdout, stderr, exit code) triple
-must be equal, and every command must exit 0, or the script prints what
-differs and exits 1.
+`sweep-alpha`, each as CSV and as JSON, plus `config-dump`, over two fixed
+grids of configs. The valid grid covers five problem kinds x three
+variants x snapshot_stride 1 and default x eps_conv set and unset (60
+configs); the memoryless configs cycle through the three delta
+estimators, a pinned gamma0 and a delta_min above 0. The rejected grid
+(31 configs) gives each variant one out-of-range value of a key that
+variant reads, so the ref rejects it too; it guards the text of the
+config checks. Every (stdout, stderr, exit code) triple must be equal,
+every command on a valid config must exit 0 and every command on a
+rejected one 2, or the script prints what differs and exits 1.
 
 Each config runs in its own interpreter per tree, which calls
 `cemkit.cli.main` once per command with PYTHONPATH set to that tree's
@@ -55,6 +58,27 @@ ESTIMATORS = (
     {"estimator": "uniform_model", "gamma0": 3.0},
     {"estimator": "gauss_model", "delta_min": 0.1},
 )
+# One out-of-range value per config of the rejected grid, and the variants
+# that read the key.
+BAD_KEYS = [
+    ({"N": 0}, VARIANTS),
+    ({"rho": 0.0}, VARIANTS),
+    ({"rho": 1.0}, VARIANTS),
+    ({"alpha": 0.0}, VARIANTS),
+    ({"alpha": 1.5}, VARIANTS),
+    ({"eps_conv": 0.5}, VARIANTS),
+    ({"T": 0}, ("batch",)),
+    ({"K": 0}, ("window", "memoryless")),
+    ({"snapshot_stride": 0}, ("window", "memoryless")),
+    ({"N": 5}, ("memoryless",)),
+    ({"estimator": "bogus"}, ("memoryless",)),
+    ({"estimator": "constant"}, ("memoryless",)),
+    ({"beta": 7.0}, ("memoryless",)),
+    ({"delta0": -1.0}, ("memoryless",)),
+    ({"delta0_mode": "weird"}, ("memoryless",)),
+    ({"delta_init": -0.5}, ("memoryless",)),
+    ({"delta_min": -0.5}, ("memoryless",)),
+]
 COMMANDS = (
     ["run"],
     ["run", "--format", "json"],
@@ -82,6 +106,20 @@ def grid():
         if variant == "memoryless":
             cfg.update(next(memoryless))
         out.append(cfg)
+    return out
+
+
+def rejected_grid():
+    """The 31 rejected configs: a valid one with one key out of range."""
+    out = []
+    for i, (bad, variants) in enumerate(BAD_KEYS):
+        for variant in variants:
+            cfg = {
+                "problem": PROBLEMS[i % len(PROBLEMS)], "variant": variant,
+                "N": 20, "rho": 0.1, "alpha": 0.7, "T": 15, "K": 300,
+                "replicates": 3, "base_seed": 5, "alphas": [0.7, 0.2], "jobs": 1,
+            }
+            out.append({**cfg, **bad})
     return out
 
 
@@ -144,18 +182,20 @@ def main(argv=None) -> int:
             ["git", "-C", str(REPO), "archive", args.ref], capture_output=True, check=True
         ).stdout
         subprocess.run(["tar", "-x", "-C", str(ref_tree)], input=archive, check=True)
-        configs = []
-        for i, cfg in enumerate(grid()):
-            path = tmp / f"config_{i:02d}.json"
-            path.write_text(json.dumps(cfg, indent=1) + "\n")
-            configs.append(path)
+        configs, exits = [], []
+        for name, cfgs, code in (("config", grid(), 0), ("rejected", rejected_grid(), 2)):
+            for i, cfg in enumerate(cfgs):
+                path = tmp / f"{name}_{i:02d}.json"
+                path.write_text(json.dumps(cfg, indent=1) + "\n")
+                configs.append(path)
+                exits.append(code)
 
         tasks = [(tree, c) for c in configs for tree in (ref_tree, REPO)]
         with ThreadPoolExecutor(WORKERS) as pool:
             results = list(pool.map(lambda t: run_tree(*t), tasks))
 
         compared = differ = failed = 0
-        for k, path in enumerate(configs):
+        for k, (path, code) in enumerate(zip(configs, exits)):
             ref, new = results[2 * k], results[2 * k + 1]
             for (cmd, *want), (_, *got) in zip(ref, new):
                 compared += 1
@@ -165,11 +205,12 @@ def main(argv=None) -> int:
                     for name, a, b in zip(("stdout", "stderr", "exit"), want, got):
                         if a != b:
                             print(f"  {name}: {first_difference(a, b, args.ref)}")
-                if want[2] != 0 or got[2] != 0:
+                if want[2] != code or got[2] != code:
                     failed += 1
-                    print(f"EXIT {want[2]}/{got[2]}: {cmd} on {path.name}: {got[1].strip()!r:.200}")
+                    print(f"EXIT {want[2]}/{got[2]} (want {code}): {cmd} on {path.name}: "
+                          f"{got[1].strip()!r:.200}")
         print(f"{compared} triples over {len(configs)} configs: {compared - differ} identical, "
-              f"{differ} differ, {failed} with a non-zero exit")
+              f"{differ} differ, {failed} with an unexpected exit code")
         return 1 if differ or failed else 0
     finally:
         shutil.rmtree(tmp, ignore_errors=True)

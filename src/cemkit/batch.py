@@ -19,7 +19,7 @@ from .model import (
     EvaluatedSample,
     Objective,
     RngStream,
-    check_run_settings,
+    RunSettings,
     elite_count,
     is_absorbed,
     non_finite_value,
@@ -36,26 +36,32 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BatchConfig:
-    """Settings for one generational run.
+@dataclass(frozen=True, kw_only=True)
+class BatchConfig(RunSettings):
+    """Settings for a generational run of up to T generations.
 
-    p0 = None means the standard all-0.5 start. eps_conv controls the
-    early stop on full 0/1 absorption; set it to None to always run all
-    T generations. Early stopping never changes best-so-far: a sampler
+    eps_conv defaults to 1e-6 here; set it to None to always run all T
+    generations. Early stopping never changes best-so-far: a sampler
     absorbed to within 1e-6 of a single point cannot produce anything
-    new in practice.
+    new in practice. A generation moves the parameters by alpha1 = alpha
+    and ends with one snapshot, so the stride is N evaluations.
     """
 
-    N: int
-    rho: float
-    alpha: float
     T: int
-    p0: Optional[BernoulliParams] = None
     eps_conv: Optional[float] = 1e-6
 
     def __post_init__(self) -> None:
-        check_run_settings(self, "T")
+        super().__post_init__()
+        if self.T < 1:
+            raise ConfigError(f"T: must be >= 1, got {self.T}")
+
+    @property
+    def alpha1(self) -> float:
+        return self.alpha
+
+    @property
+    def stride(self) -> int:
+        return self.N
 
 
 @dataclass(frozen=True)
@@ -140,19 +146,9 @@ def run_batch(config: BatchConfig, obj: Objective, rng: RngStream) -> RunTrace:
     Trace step counts are in objective evaluations, so generation t ends
     at step (t+1)*N.
     """
-    params = config.p0 if config.p0 is not None else BernoulliParams.uniform_init(obj.n)
-    if params.n != obj.n:
-        raise ConfigError(f"p0: dimension {params.n} does not match objective dimension {obj.n}")
+    recorder = config.start("batch", obj, TraceRecorder)
+    params = recorder.p0
     n_b = elite_count(config.N, config.rho)
-    recorder = TraceRecorder(
-        variant="batch",
-        params0=params,
-        rho=config.rho,
-        alpha=config.alpha,
-        alpha1=config.alpha,
-        snapshot_stride=config.N,
-        optimal_value=obj.optimal_value,
-    )
     gamma: Optional[float] = None
     steps = 0
     for t in range(config.T):

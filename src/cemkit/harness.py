@@ -28,8 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union, get_args, get_o
 from .batch import BatchConfig, run_batch
 from .diagnostics import analyze, miss_probability_bound, phi
 from .errors import ConfigError
-from .memoryless import MemorylessConfig, run_memoryless
-from .model import BernoulliParams, Objective, RngStream, elite_count
+from .memoryless import MemorylessConfig, ThresholdKnobs, run_memoryless
+from .model import BernoulliParams, Objective, RngStream
 from .objectives import ProblemSpec, make_objective
 from .trace import RunTrace
 from .window import OnlineConfig, run_online_window
@@ -76,13 +76,14 @@ _ENGINES = {
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
+class ExperimentConfig(ThresholdKnobs):
     """One experiment: a problem, a variant, its knobs, and the seeds.
 
     T counts batch generations, K counts online samples; both are kept
     so a config can serve `compare` unchanged, where the budgets must
-    match (T*N == K). Fields irrelevant to the selected variant are
-    simply unused.
+    match (T*N == K). Fields the selected variant does not read are
+    unused, but parse_config range-checks them all the same. The
+    memoryless walk's knobs and their checks come from ThresholdKnobs.
 
     The fields are the config file's schema, keyed by name; a field with
     a "block" in its metadata sits in that nested object (output.path).
@@ -97,13 +98,6 @@ class ExperimentConfig:
     K: int = 5000
     replicates: int = 100
     base_seed: int = 12345
-    estimator: str = "gauss_model"
-    beta: float = 0.1
-    gamma0: Optional[float] = None
-    delta0: Optional[float] = None
-    delta0_mode: str = "nominal"
-    delta_init: float = 0.0
-    delta_min: float = 0.0
     eps_conv: Optional[float] = None
     eps_binary: float = 1e-3
     snapshot_stride: Optional[int] = None
@@ -131,6 +125,7 @@ class ExperimentConfig:
             for a in self.alphas:
                 if not 0.0 < a <= 1.0:
                     raise ConfigError(f"alphas: every entry must be in (0,1], got {a}")
+        super().__post_init__()
 
 
 @dataclass
@@ -257,10 +252,14 @@ def parse_config(data: Dict) -> ExperimentConfig:
     record and a silently ignored typo would poison it. The objective
     (cached for the run) and the selected variant's engine config are
     built here so their constraint violations surface at parse time.
+    So are the batch and window configs, which have no cross-field
+    rule: their range checks then cover T, K and snapshot_stride
+    whichever variant reads them.
     """
     cfg = _build(ExperimentConfig, data, "config")
     _cached_objective(cfg.problem)
-    _variant_config(cfg)
+    for variant in dict.fromkeys(("batch", "window", cfg.variant)):
+        _variant_config(cfg, variant)
     return cfg
 
 
@@ -314,10 +313,11 @@ def _cached_objective(spec: ProblemSpec) -> Objective:
     return make_objective(spec)
 
 
-def _variant_config(cfg: ExperimentConfig):
+def _variant_config(cfg: ExperimentConfig, variant: Optional[str] = None):
+    """The engine config of `variant` (default cfg.variant) built from cfg."""
     # Unset (None) knobs keep the engine's own default; for batch that
     # is eps_conv=1e-6, the early stop on full absorption.
-    cls = _ENGINES[cfg.variant][0]
+    cls = _ENGINES[variant or cfg.variant][0]
     knobs = {f.name: getattr(cfg, f.name, None) for f in fields(cls)}
     return cls(**{k: v for k, v in knobs.items() if v is not None})
 
@@ -386,14 +386,10 @@ def wilson_interval(hits: int, n: int, z: float = 1.959963984540054) -> Tuple[fl
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _sweep_miss_bound(cfg: ExperimentConfig, obj: Objective, alpha: float) -> float:
+def _sweep_miss_bound(obj: Objective, alpha1: float) -> float:
     """Reference bound column: exp(-phi1*h(alpha1)) at the uniform start."""
     p0 = BernoulliParams.uniform_init(obj.n)
     phi1 = phi(p0, obj.optimal_bits)
-    if cfg.variant == "batch":
-        alpha1 = alpha
-    else:
-        alpha1 = alpha / elite_count(cfg.N, cfg.rho)
     if alpha1 >= 1.0:
         return 1.0
     return miss_probability_bound(phi1, alpha1, obj.n)
@@ -412,13 +408,13 @@ def alpha_sweep(
     if grid is None or len(grid) == 0:
         raise ConfigError("alphas: required for an alpha sweep")
     cells = [replace(cfg, alpha=float(a), alphas=None) for a in grid]
-    for sub in cells:  # reject a bad alpha before any cell runs
-        _variant_config(sub)
+    # Rejects a bad alpha before any cell runs.
+    alpha1s = [_variant_config(sub).alpha1 for sub in cells]
     obj = _cached_objective(cfg.problem)
     if obj.optimal_bits is None or obj.optimal_value is None:
         raise ConfigError("problem: alpha sweep requires a problem with known optimum")
     out: List[SweepRow] = []
-    for sub in cells:
+    for sub, alpha1 in zip(cells, alpha1s):
         rows = run_experiment(sub, jobs)
         hits = sum(1 for row in rows if row.first_hit is not None)
         n = len(rows)
@@ -432,7 +428,7 @@ def alpha_sweep(
                 ci_low=lo,
                 ci_high=hi,
                 miss_rate=(n - hits) / n,
-                miss_bound=_sweep_miss_bound(cfg, obj, sub.alpha),
+                miss_bound=_sweep_miss_bound(obj, alpha1),
             )
         )
     return out

@@ -19,10 +19,9 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .model import (
-    BernoulliParams,
     Objective,
+    OnlineConfig,
     RngStream,
-    check_run_settings,
     non_finite_value,
     run_online,
 )
@@ -31,6 +30,7 @@ from .trace import RunTrace, TraceRecorder
 
 __all__ = [
     "ThresholdState",
+    "ThresholdKnobs",
     "MemorylessConfig",
     "ESTIMATORS",
     "DELTA0_MODES",
@@ -154,22 +154,16 @@ def delta_update(state: ThresholdState, f_new: float) -> ThresholdState:
     return replace(state, delta=new_delta, prev_value=f_new)
 
 
-@dataclass(frozen=True)
-class MemorylessConfig:
-    """Settings for a memoryless run of K samples.
-
-    N is nominal only: it enters the step size alpha/ceil(rho*N) and the
-    delta0 formulas, no buffer of that size exists. N > 1/rho is
-    required (the Gaussian delta0 precondition, enforced uniformly so a
-    config stays valid under an estimator switch).
+@dataclass(frozen=True, kw_only=True)
+class ThresholdKnobs:
+    """The memoryless walk's settings, with their range checks.
 
     gamma0 = None starts the threshold at the first sample's value,
     which makes step one elite and adapts to the objective's scale;
     pass a float to pin it. delta0 = None takes the model value
-    (uniform or Gaussian formula); the constant estimator has no model
-    and requires an explicit delta0. A user-supplied delta0 with a
-    model estimator overrides the formula, which is also the hook for
-    distributions neither model fits.
+    (uniform or Gaussian formula); a delta0 given with a model estimator
+    overrides the formula, which is also the hook for distributions
+    neither model fits.
 
     gauss_model is the default estimator because typical objective
     value distributions here are bell-shaped sums; the uniform model
@@ -177,11 +171,6 @@ class MemorylessConfig:
     improving samples, and the run absorbs prematurely.
     """
 
-    N: int
-    rho: float
-    alpha: float
-    K: int
-    p0: Optional[BernoulliParams] = None
     gamma0: Optional[float] = None
     estimator: str = "gauss_model"
     beta: float = 0.1
@@ -189,25 +178,41 @@ class MemorylessConfig:
     delta0_mode: str = "nominal"
     delta_init: float = 0.0
     delta_min: float = 0.0
-    eps_conv: Optional[float] = None
-    snapshot_stride: Optional[int] = None
 
     def __post_init__(self) -> None:
-        check_run_settings(self, "K")
-        if self.N * self.rho <= 1.0:
-            raise ConfigError(
-                f"N: need N > 1/rho for the memoryless variant, got N={self.N}, rho={self.rho}"
-            )
         if self.gamma0 is not None and not math.isfinite(self.gamma0):
             raise ConfigError(f"gamma0: must be finite, got {self.gamma0}")
-        if self.estimator == "constant" and self.delta0 is None:
-            raise ConfigError("delta0: required for the constant estimator")
         if self.delta0_mode not in DELTA0_MODES:
             raise ConfigError(f"delta0_mode: unknown mode {self.delta0_mode!r}")
         if not 0.0 <= self.delta_init < math.inf:
             raise ConfigError(f"delta_init: must be >= 0, got {self.delta_init}")
-        # The walk state checks estimator, beta, delta0 and delta_min.
-        self.initial_state(0.0)
+        # The walk state checks estimator, delta0 (when set), beta and delta_min.
+        ThresholdState(
+            gamma=None, delta=0.0, estimator=self.estimator, beta=self.beta,
+            delta0=1.0 if self.delta0 is None else self.delta0, delta_min=self.delta_min,
+        )
+
+
+@dataclass(frozen=True, kw_only=True)
+class MemorylessConfig(OnlineConfig, ThresholdKnobs):
+    """Settings for a memoryless run of K samples.
+
+    N is nominal only: it enters the step size alpha1 = alpha/ceil(rho*N)
+    and the delta0 formulas, no buffer of that size exists. N > 1/rho is
+    required (the Gaussian delta0 precondition, enforced uniformly so a
+    config stays valid under an estimator switch). The constant
+    estimator has no model and requires an explicit delta0.
+    """
+
+    def __post_init__(self) -> None:
+        OnlineConfig.__post_init__(self)
+        if self.N * self.rho <= 1.0:
+            raise ConfigError(
+                f"N: need N > 1/rho for the memoryless variant, got N={self.N}, rho={self.rho}"
+            )
+        if self.estimator == "constant" and self.delta0 is None:
+            raise ConfigError("delta0: required for the constant estimator")
+        ThresholdKnobs.__post_init__(self)
 
     def resolved_delta0(self) -> float:
         """The scale constant actually used: explicit value or the model's."""
@@ -218,18 +223,15 @@ class MemorylessConfig:
         return delta0_gauss(self.N, self.rho, self.delta0_mode)
 
     def initial_state(self, gamma: Optional[float]) -> ThresholdState:
-        if self.estimator == "constant":
-            d0 = self.resolved_delta0()
-            return ThresholdState(
-                gamma=gamma, delta=d0, estimator="constant", beta=self.beta, delta0=d0,
-                delta_min=self.delta_min,
-            )
+        """The walk's state at threshold gamma; the constant estimator's
+        delta is delta0 itself, the others start at delta_init."""
+        d0 = self.resolved_delta0()
         return ThresholdState(
             gamma=gamma,
-            delta=self.delta_init,
+            delta=d0 if self.estimator == "constant" else self.delta_init,
             estimator=self.estimator,
             beta=self.beta,
-            delta0=self.resolved_delta0(),
+            delta0=d0,
             delta_min=self.delta_min,
         )
 

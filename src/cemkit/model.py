@@ -1,5 +1,6 @@
-"""Core domain types shared by all optimizer variants, and the
-per-sample loop (run_online) the two online variants share.
+"""Core domain types shared by all optimizer variants, the settings
+every engine config extends (RunSettings, and OnlineConfig for the two
+online variants), and the per-sample loop (run_online) they share.
 
 Everything operates on dense 0/1 bit vectors of a fixed dimension n.
 Objective values are maximized throughout; wrap an objective with
@@ -29,7 +30,8 @@ __all__ = [
     "is_binary_converged",
     "is_absorbed",
     "elite_count",
-    "check_run_settings",
+    "RunSettings",
+    "OnlineConfig",
     "non_finite_value",
     "run_online",
     "negated",
@@ -248,30 +250,87 @@ def elite_count(n_samples: int, rho: float) -> int:
     return max(1, math.ceil(rho * n_samples - 1e-12))
 
 
-def check_run_settings(cfg, budget: str) -> None:
-    """Range checks shared by the batch, window and memoryless engine configs.
+@dataclass(frozen=True, kw_only=True)
+class RunSettings:
+    """Settings every engine reads: N, rho, alpha, the start p0 and the
+    early stop eps_conv, with their range checks.
 
-    `budget` names the run-length field, "T" (generations) or "K"
-    (samples). snapshot_stride is checked where the config has one.
+    p0 = None means the standard all-0.5 start. eps_conv set stops a run
+    early on full 0/1 absorption. Each engine config adds its budget and
+    defines alpha1, the step of one update, and stride, the evaluations
+    between trace snapshots.
     """
-    if cfg.N < 1:
-        raise ConfigError(f"N: must be >= 1, got {cfg.N}")
-    if not 0.0 < cfg.rho < 1.0:
-        raise ConfigError(f"rho: elite fraction must be in (0,1), got {cfg.rho}")
-    if not 0.0 < cfg.alpha <= 1.0:
-        raise ConfigError(f"alpha: smoothing factor must be in (0,1], got {cfg.alpha}")
-    steps = getattr(cfg, budget)
-    if steps < 1:
-        raise ConfigError(f"{budget}: must be >= 1, got {steps}")
-    # Interior start: absorption analysis assumes no component begins
-    # already frozen at 0 or 1.
-    if cfg.p0 is not None and (np.any(cfg.p0.probs <= 0.0) or np.any(cfg.p0.probs >= 1.0)):
-        raise ConfigError("p0: initial probabilities must lie strictly in (0,1)")
-    if cfg.eps_conv is not None and not 0.0 < cfg.eps_conv < 0.5:
-        raise ConfigError(f"eps_conv: must be in (0,0.5) or None, got {cfg.eps_conv}")
-    stride = getattr(cfg, "snapshot_stride", None)
-    if stride is not None and stride < 1:
-        raise ConfigError(f"snapshot_stride: must be >= 1, got {stride}")
+
+    N: int
+    rho: float
+    alpha: float
+    p0: Optional[BernoulliParams] = None
+    eps_conv: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.N < 1:
+            raise ConfigError(f"N: must be >= 1, got {self.N}")
+        if not 0.0 < self.rho < 1.0:
+            raise ConfigError(f"rho: elite fraction must be in (0,1), got {self.rho}")
+        if not 0.0 < self.alpha <= 1.0:
+            raise ConfigError(f"alpha: smoothing factor must be in (0,1], got {self.alpha}")
+        # Interior start: absorption analysis assumes no component begins
+        # already frozen at 0 or 1.
+        if self.p0 is not None and (np.any(self.p0.probs <= 0.0) or np.any(self.p0.probs >= 1.0)):
+            raise ConfigError("p0: initial probabilities must lie strictly in (0,1)")
+        if self.eps_conv is not None and not 0.0 < self.eps_conv < 0.5:
+            raise ConfigError(f"eps_conv: must be in (0,0.5) or None, got {self.eps_conv}")
+
+    def start(self, variant: str, obj: Objective, recorder_class: type):
+        """A recorder_class instance for a run of `variant` on obj.
+
+        Its p0 is the run's first parameter vector: self.p0, or the
+        all-0.5 start when unset. A p0 whose dimension is not obj's
+        raises ConfigError. Engines pass their module's TraceRecorder, so
+        a stand-in bound there is the one a run uses.
+        """
+        params0 = self.p0 if self.p0 is not None else BernoulliParams.uniform_init(obj.n)
+        if params0.n != obj.n:
+            raise ConfigError(f"p0: dimension {params0.n} does not match objective dimension {obj.n}")
+        return recorder_class(
+            variant=variant,
+            params0=params0,
+            rho=self.rho,
+            alpha=self.alpha,
+            alpha1=self.alpha1,
+            snapshot_stride=self.stride,
+            optimal_value=obj.optimal_value,
+        )
+
+
+@dataclass(frozen=True, kw_only=True)
+class OnlineConfig(RunSettings):
+    """Settings for an online run of K samples (run_online).
+
+    K may be any positive count; a window run with K <= N never leaves
+    warm-up and returns p0 untouched. eps_conv = None (the default) runs
+    all K steps faithfully. An elite sample moves the parameters by
+    alpha1 = alpha/ceil(rho*N); a snapshot is taken every
+    snapshot_stride steps, N when unset.
+    """
+
+    K: int
+    snapshot_stride: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if self.K < 1:
+            raise ConfigError(f"K: must be >= 1, got {self.K}")
+        if self.snapshot_stride is not None and self.snapshot_stride < 1:
+            raise ConfigError(f"snapshot_stride: must be >= 1, got {self.snapshot_stride}")
+
+    @property
+    def alpha1(self) -> float:
+        return self.alpha / elite_count(self.N, self.rho)
+
+    @property
+    def stride(self) -> int:
+        return self.snapshot_stride or self.N
 
 
 def non_finite_value(variant: str, draw_index: int, value: float) -> DomainError:
@@ -283,7 +342,7 @@ def non_finite_value(variant: str, draw_index: int, value: float) -> DomainError
 
 def run_online(
     variant: str,
-    config,
+    config: OnlineConfig,
     obj: Objective,
     rng: RngStream,
     recorder_class: type,
@@ -295,33 +354,20 @@ def run_online(
     Per step: draw a bit vector (from a BlockSampler, the same bits as
     one draw per step), evaluate it with obj.fn, and ask the variant's
     elite rule is_elite(t, value) about it. An elite sample moves the
-    parameters by alpha1 = alpha/ceil(rho*N) toward itself. state()
-    returns the rule's (gamma, delta); it is read at snapshot steps and
-    at the end. A non-finite objective value raises DomainError naming
-    the variant and its draw. recorder_class is the engine module's
-    TraceRecorder, so a stand-in bound there is the one a run uses.
+    parameters by config.alpha1 toward itself. state() returns the
+    rule's (gamma, delta); it is read at snapshot steps and at the end.
+    A non-finite objective value raises DomainError naming the variant
+    and its draw. recorder_class is the engine module's TraceRecorder
+    (see RunSettings.start).
 
-    config is an OnlineConfig or a MemorylessConfig: N, rho, alpha, K,
-    p0, eps_conv and snapshot_stride are read. eps_conv set stops the
-    run early on 0/1 absorption.
+    config is an OnlineConfig or a MemorylessConfig; eps_conv set stops
+    the run early on 0/1 absorption.
     """
-    params0 = config.p0 if config.p0 is not None else BernoulliParams.uniform_init(obj.n)
-    if params0.n != obj.n:
-        raise ConfigError(f"p0: dimension {params0.n} does not match objective dimension {obj.n}")
-    alpha1 = config.alpha / elite_count(config.N, config.rho)
-    stride = config.snapshot_stride if config.snapshot_stride is not None else config.N
-    recorder = recorder_class(
-        variant=variant,
-        params0=params0,
-        rho=config.rho,
-        alpha=config.alpha,
-        alpha1=alpha1,
-        snapshot_stride=stride,
-        optimal_value=obj.optimal_value,
-    )
+    recorder = config.start(variant, obj, recorder_class)
+    alpha1, stride = config.alpha1, config.stride
     offer_best, update_applied = recorder.offer_best, recorder.update_applied
     maybe_snapshot = recorder.maybe_snapshot
-    probs = params0.probs.copy()
+    probs = recorder.p0.probs.copy()
     fn = obj.fn
     isfinite = math.isfinite
     keep = 1.0 - alpha1

@@ -49,11 +49,18 @@ class ProblemSpec:
     edges: Optional[Tuple[Tuple[int, int], ...]] = None
 
 
+# The kind-specific keys of a ProblemSpec and the one kind that reads each.
+_KIND_KEYS = {"weights": "weighted_linear", "k": "trap_k", "edges": "maxcut"}
+
+
 def _validate(spec: ProblemSpec) -> None:
     if spec.kind not in KINDS:
         raise ConfigError(f"kind: unknown objective kind {spec.kind!r}")
     if spec.n < 1:
         raise ConfigError(f"n: dimension must be >= 1, got {spec.n}")
+    for key, kind in _KIND_KEYS.items():
+        if getattr(spec, key) is not None and spec.kind != kind:
+            raise ConfigError(f"{key}: only {kind} takes {key}, got kind {spec.kind!r}")
     if spec.kind == "weighted_linear":
         if spec.weights is None:
             raise ConfigError("weights: required for weighted_linear")

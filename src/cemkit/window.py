@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
-from dataclasses import dataclass
 from typing import Deque, List, Optional, Tuple
 
 import numpy as np
@@ -20,8 +19,8 @@ from .errors import DimensionError
 from .model import (
     BernoulliParams,
     Objective,
+    OnlineConfig,
     RngStream,
-    check_run_settings,
     elite_count,
     run_online,
 )
@@ -82,27 +81,6 @@ class SampleWindow:
         index is checked against in tests."""
         vals = sorted(self._values, reverse=True)
         return vals[elite_count(len(vals), rho) - 1]
-
-
-@dataclass(frozen=True)
-class OnlineConfig:
-    """Settings for a sliding-window run of K samples.
-
-    K may be any positive count; runs with K <= N never leave warm-up
-    and return p0 untouched. eps_conv = None (the default) runs all K
-    steps faithfully; setting it stops early on 0/1 absorption.
-    """
-
-    N: int
-    rho: float
-    alpha: float
-    K: int
-    p0: Optional[BernoulliParams] = None
-    eps_conv: Optional[float] = None
-    snapshot_stride: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        check_run_settings(self, "K")
 
 
 def online_update(x: np.ndarray, params: BernoulliParams, alpha1: float) -> BernoulliParams:

@@ -116,6 +116,28 @@ class TestFailureModes:
         assert code == 2 and out == ""
         assert err.startswith(f"config error: {field}:")
 
+    @pytest.mark.parametrize("command", ["run", "config-dump"])
+    @pytest.mark.parametrize(
+        "patch, field",
+        [
+            ({"snapshot_stride": -5}, "snapshot_stride"),
+            ({"K": 0}, "K"),
+            ({"variant": "window", "K": 200, "T": -3}, "T"),
+            ({"estimator": "bogus"}, "estimator"),
+            ({"variant": "window", "K": 200, "beta": 7.0}, "beta"),
+            ({"delta0_mode": "weird"}, "delta0_mode"),
+            ({"problem": {"kind": "onemax", "n": 6, "k": 3}}, "k"),
+            ({"problem": {"kind": "onemax", "n": 6, "weights": [1, 2]}}, "weights"),
+        ],
+    )
+    def test_unread_key_out_of_range_is_a_config_error(self, capsys, tmp_path, command, patch, field):
+        # Checked whether or not the variant (or problem kind) reads it.
+        p = tmp_path / "unread.json"
+        p.write_text(json.dumps({**CFG, **patch}))
+        code, out, err = _run(capsys, [command, "--config", str(p)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"config error: {field}:")
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("weights", [[1e308, 1e308, 1.0], [1.0, -1e308, -1e308]])
     def test_weights_whose_sum_overflows_are_a_config_error(self, capsys, tmp_path, weights):

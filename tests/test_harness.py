@@ -1,6 +1,7 @@
 """Experiment harness: config plumbing, replicate execution, tables."""
 
 import json
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,11 @@ from hypothesis import strategies as st
 
 from cemkit import harness
 from cemkit import (
+    BatchConfig,
     ConfigError,
     ExperimentConfig,
+    MemorylessConfig,
+    OnlineConfig,
     ProblemSpec,
     ResultRow,
     SweepRow,
@@ -39,6 +43,20 @@ from cemkit.model import RngStream, elite_count
 from cemkit.objectives import make_objective
 
 ONEMAX6 = {"problem": {"kind": "onemax", "n": 6}}
+
+# (variant, key, out-of-range value, message): keys the variant does not read.
+UNREAD_KEYS = [
+    ("batch", "snapshot_stride", -5, "snapshot_stride: must be >= 1, got -5"),
+    ("batch", "K", 0, "K: must be >= 1, got 0"),
+    ("window", "T", -3, "T: must be >= 1, got -3"),
+    ("memoryless", "T", 0, "T: must be >= 1, got 0"),
+    ("batch", "estimator", "bogus", "estimator: unknown estimator 'bogus'"),
+    ("window", "estimator", "bogus", "estimator: unknown estimator 'bogus'"),
+    ("batch", "beta", 7.0, "beta: must be in [0,1], got 7.0"),
+    ("window", "beta", 7.0, "beta: must be in [0,1], got 7.0"),
+    ("batch", "delta0_mode", "weird", "delta0_mode: unknown mode 'weird'"),
+    ("window", "delta0_mode", "weird", "delta0_mode: unknown mode 'weird'"),
+]
 
 
 def _fast(**kw):
@@ -195,6 +213,29 @@ class TestParseConfig:
         # number, a null or a non-finite float is an error naming the field.
         with pytest.raises(ConfigError, match=f"^{field}:"):
             parse_config({**ONEMAX6, **patch})
+
+    @pytest.mark.parametrize(
+        "variant, key, value, message",
+        [pytest.param(*case, id=f"{case[0]}-{case[1]}") for case in UNREAD_KEYS],
+    )
+    def test_keys_the_variant_does_not_read_are_checked(self, variant, key, value, message):
+        # Same text as the engine config that reads the key.
+        with pytest.raises(ConfigError) as exc:
+            parse_config({**ONEMAX6, "variant": variant, key: value})
+        assert str(exc.value) == message
+
+    def test_cross_field_rules_stay_with_memoryless(self):
+        # N > 1/rho and the constant estimator's delta0 bind only the
+        # memoryless variant.
+        for variant in ("batch", "window"):
+            parse_config({**ONEMAX6, "variant": variant, "N": 5, "estimator": "constant"})
+
+    def test_every_engine_field_is_a_config_key(self):
+        # _variant_config fills an engine config from the keys of the same
+        # name; p0 alone has no key (the start is always all-0.5).
+        keys = {f.name for f in fields(ExperimentConfig)}
+        for cls in (BatchConfig, OnlineConfig, MemorylessConfig):
+            assert {f.name for f in fields(cls)} - keys == {"p0"}
 
     def test_whole_numbers_accepted(self):
         cfg = parse_config({**ONEMAX6, "alpha": 1, "N": 100.0})

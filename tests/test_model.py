@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from cemkit import (
+    BatchConfig,
     BernoulliParams,
+    ConfigError,
     DimensionError,
+    MemorylessConfig,
     Objective,
     RngStream,
     draw_sample,
@@ -15,7 +18,9 @@ from cemkit import (
     negated,
     ProblemSpec,
 )
-from cemkit.model import is_absorbed
+from cemkit import window
+from cemkit.model import OnlineConfig, RunSettings, is_absorbed
+from cemkit.trace import TraceRecorder
 
 
 class TestBernoulliParams:
@@ -174,3 +179,55 @@ class TestEliteCount:
             elite_count(10, 0.0)
         with pytest.raises(ValueError):
             elite_count(10, 1.0)
+
+
+class TestRunSettings:
+    # N=20, rho=0.1: ceil(rho*N) = 2 elite samples per window or generation.
+    ENGINES = {
+        "batch": lambda **kw: BatchConfig(N=20, rho=0.1, alpha=0.6, T=5, **kw),
+        "window": lambda **kw: OnlineConfig(N=20, rho=0.1, alpha=0.6, K=100, **kw),
+        "memoryless": lambda **kw: MemorylessConfig(N=20, rho=0.1, alpha=0.6, K=100, **kw),
+    }
+
+    def test_every_engine_config_is_run_settings(self):
+        assert window.OnlineConfig is OnlineConfig
+        for make in self.ENGINES.values():
+            assert isinstance(make(), RunSettings)
+        with pytest.raises(TypeError):
+            OnlineConfig(20, 0.1, 0.6, 100)
+
+    def test_alpha1(self):
+        # Batch moves by alpha once per generation; the online variants
+        # by alpha/ceil(rho*N) per elite sample.
+        assert self.ENGINES["batch"]().alpha1 == 0.6
+        assert self.ENGINES["window"]().alpha1 == 0.6 / 2
+        assert self.ENGINES["memoryless"]().alpha1 == 0.6 / 2
+
+    def test_stride(self):
+        assert self.ENGINES["batch"]().stride == 20
+        for variant in ("window", "memoryless"):
+            assert self.ENGINES[variant]().stride == 20
+            assert self.ENGINES[variant](snapshot_stride=7).stride == 7
+
+    @pytest.mark.parametrize("variant", ["batch", "window", "memoryless"])
+    def test_start_builds_the_class_passed_in(self, variant):
+        class Recorder(TraceRecorder):
+            pass
+
+        obj = make_objective(ProblemSpec(kind="onemax", n=6))
+        cfg = self.ENGINES[variant]()
+        rec = cfg.start(variant, obj, Recorder)
+        assert type(rec) is Recorder
+        assert np.array_equal(rec.p0.probs, np.full(6, 0.5))
+        assert (rec.variant, rec.rho, rec.alpha) == (variant, 0.1, 0.6)
+        assert (rec.alpha1, rec.stride) == (cfg.alpha1, cfg.stride)
+        assert rec.optimal_value == 6.0
+        p0 = BernoulliParams(np.linspace(0.2, 0.8, 6))
+        assert self.ENGINES[variant](p0=p0).start(variant, obj, Recorder).p0 is p0
+
+    @pytest.mark.parametrize("variant", ["batch", "window", "memoryless"])
+    def test_start_rejects_a_p0_of_another_dimension(self, variant):
+        obj = make_objective(ProblemSpec(kind="onemax", n=6))
+        cfg = self.ENGINES[variant](p0=BernoulliParams.uniform_init(5))
+        with pytest.raises(ConfigError, match="^p0: dimension 5 does not match objective dimension 6$"):
+            cfg.start(variant, obj, TraceRecorder)

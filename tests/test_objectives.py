@@ -140,6 +140,22 @@ class TestMaxCut:
             make_objective(ProblemSpec(kind="maxcut", n=3, edges=((0, 1, 2),)))
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        (ProblemSpec(kind="onemax", n=6, k=3), "k"),
+        (ProblemSpec(kind="onemax", n=6, weights=(1.0, 2.0)), "weights"),
+        (ProblemSpec(kind="leading_ones", n=4, edges=((0, 1),)), "edges"),
+        (ProblemSpec(kind="maxcut", n=4, edges=((0, 1),), k=2), "k"),
+        (ProblemSpec(kind="trap_k", n=4, k=2, weights=(1.0,) * 4), "weights"),
+        (ProblemSpec(kind="weighted_linear", n=2, weights=(1.0, 2.0), edges=()), "edges"),
+    ],
+)
+def test_keys_of_another_kind_rejected(spec, key):
+    with pytest.raises(ConfigError, match=f"^{key}: only "):
+        make_objective(spec)
+
+
 def test_unknown_kind_and_bad_n():
     with pytest.raises(ConfigError, match="^kind:"):
         make_objective(ProblemSpec(kind="twomax", n=5))
