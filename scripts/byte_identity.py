@@ -8,7 +8,13 @@ CLI commands against both source trees: `run`, `compare` and
 grids of configs. The valid grid covers five problem kinds x three
 variants x snapshot_stride 1 and default x eps_conv set and unset (60
 configs); the memoryless configs cycle through the three delta
-estimators, a pinned gamma0 and a delta_min above 0. The rejected grid
+estimators, a pinned gamma0 and a delta_min above 0. Six more valid
+configs, each for window and for memoryless, reach the edges of the
+online engines' block draws: onemax with n = 1030 (one row per draw
+block and per trace log block), trap_k with n = 100 (ten rows per draw
+block), and a maxcut with n = 20 shaped like the benchmark's
+`cli_maxcut` (60 edges, N=100, T=30, K=3000, snapshot_stride 1). The
+rejected grid
 (31 configs) gives each variant one out-of-range value of a key that
 variant reads, so the ref rejects it too; it guards the text of the
 config checks. Every (stdout, stderr, exit code) triple must be equal,
@@ -29,6 +35,7 @@ import io
 import itertools
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -79,6 +86,18 @@ BAD_KEYS = [
     ({"delta_init": -0.5}, ("memoryless",)),
     ({"delta_min": -0.5}, ("memoryless",)),
 ]
+MAXCUT_20 = {
+    "kind": "maxcut", "n": 20,
+    "edges": [list(e) for e in sorted(
+        random.Random("byte_identity:maxcut_20").sample(list(itertools.combinations(range(20), 2)), 60)
+    )],
+}
+# (problem, settings) of the edge configs; each runs as window and as memoryless.
+EDGES = [
+    ({"kind": "onemax", "n": 1030}, {}),
+    ({"kind": "trap_k", "n": 100, "k": 5}, {}),
+    (MAXCUT_20, {"N": 100, "T": 30, "K": 3000, "snapshot_stride": 1}),
+]
 COMMANDS = (
     ["run"],
     ["run", "--format", "json"],
@@ -91,7 +110,7 @@ COMMANDS = (
 
 
 def grid():
-    """The 60 configs, each a plain dict ready for json.dump."""
+    """The 66 valid configs, each a plain dict ready for json.dump."""
     memoryless = itertools.cycle(ESTIMATORS)
     out = []
     for i, (problem, variant, stride, eps) in enumerate(
@@ -106,6 +125,15 @@ def grid():
         if variant == "memoryless":
             cfg.update(next(memoryless))
         out.append(cfg)
+    for i, ((problem, settings), variant) in enumerate(
+        itertools.product(EDGES, ("window", "memoryless"))
+    ):
+        out.append({
+            "problem": problem, "variant": variant,
+            "N": 20, "rho": 0.1, "alpha": 0.7, "T": 15, "K": 300,
+            "replicates": 3, "base_seed": 900 + 7 * i, "alphas": [0.7, 0.2], "jobs": 1,
+            **settings,
+        })
     return out
 
 

@@ -20,7 +20,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from functools import cache, lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union, get_args, get_origin, get_type_hints
@@ -368,6 +367,10 @@ def run_experiment(cfg: ExperimentConfig, jobs: Optional[int] = None) -> List[Re
     if n_jobs == 1:
         obj = _cached_objective(cfg.problem)
         return [_run_one(cfg, obj, r) for r in range(cfg.replicates)]
+    # Imported on this path only: the process pool's modules would slow
+    # every start-up, and sequential runs never use them.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
         return list(pool.map(_replicate_task, [(cfg, r) for r in range(cfg.replicates)]))
 

@@ -25,7 +25,6 @@ __all__ = [
     "EvaluatedSample",
     "Objective",
     "RngStream",
-    "BlockSampler",
     "draw_sample",
     "is_binary_converged",
     "is_absorbed",
@@ -161,63 +160,6 @@ class RngStream:
 _DRAW_BLOCK_VALUES = 1 << 10
 
 
-class BlockSampler:
-    """Bit vectors for a per-sample engine, drawn from uniforms in blocks.
-
-    next() returns the next of `count` rows: bit i is 1 iff its uniform
-    is below probs[i]. PCG64's random((B, n)) gives the same numbers as
-    B calls of random(n), so every row equals what draw_sample would
-    return at that step, whatever the block size.
-
-    The rows of a block become bits in one comparison with the current
-    probabilities. set_probs discards the bits of the rows not yet
-    returned; the next row is then compared alone, because an engine
-    that has just updated often updates again at once (the window
-    engine does on most steps after absorption), and only if no update
-    follows are the remaining rows compared together. Bits are always
-    new arrays, so a row already returned never changes. The probs
-    arrays are kept, not copied: pass a new array to set_probs instead
-    of changing one in place.
-    """
-
-    def __init__(self, rng: RngStream, probs: np.ndarray, count: int):
-        self._rng = rng
-        self._probs = probs
-        self._undrawn = count
-        self._block_rows = max(1, _DRAW_BLOCK_VALUES // probs.size)
-        self._u = np.empty((0, probs.size))
-        self._next = 0  # row of _u that next() returns
-        self._bits: Optional[np.ndarray] = None  # rows _first: of _u, or None
-        self._first = 0
-        self._updated = False
-
-    def next(self) -> np.ndarray:
-        r = self._next
-        if r == len(self._u):
-            if self._undrawn == 0:
-                raise IndexError("all rows of the sampler are used")
-            m = min(self._block_rows, self._undrawn)
-            self._undrawn -= m
-            self._u = self._rng.random((m, self._probs.size))
-            self._bits = None
-            r = 0
-        self._next = r + 1
-        if self._bits is not None:
-            return self._bits[r - self._first]
-        if self._updated:
-            self._updated = False
-            return (self._u[r] < self._probs).astype(np.uint8)
-        self._first = r
-        self._bits = (self._u[r:] < self._probs).astype(np.uint8)
-        return self._bits[0]
-
-    def set_probs(self, probs: np.ndarray) -> None:
-        """Draw the rows still to come from `probs`."""
-        self._probs = probs
-        self._bits = None
-        self._updated = True
-
-
 def draw_sample(params: BernoulliParams, rng: RngStream) -> np.ndarray:
     """Draw one bit vector: bit i is 1 with probability probs[i], independently."""
     return (rng.random(params.n) < params.probs).astype(np.uint8)
@@ -351,40 +293,74 @@ def run_online(
 ) -> "RunTrace":
     """Run K per-sample steps of an online variant: the loop both share.
 
-    Per step: draw a bit vector (from a BlockSampler, the same bits as
-    one draw per step), evaluate it with obj.fn, and ask the variant's
-    elite rule is_elite(t, value) about it. An elite sample moves the
-    parameters by config.alpha1 toward itself. state() returns the
-    rule's (gamma, delta); it is read at snapshot steps and at the end.
-    A non-finite objective value raises DomainError naming the variant
-    and its draw. recorder_class is the engine module's TraceRecorder
-    (see RunSettings.start).
+    Per step: take a bit vector, evaluate it with obj.fn, and ask the
+    variant's elite rule is_elite(t, value) about it. An elite sample
+    moves the parameters by config.alpha1 toward itself. state() returns
+    the rule's (gamma, delta); it is read at snapshot steps and at the
+    end. A non-finite objective value raises DomainError naming the
+    variant and its draw. recorder_class is the engine module's
+    TraceRecorder (see RunSettings.start); its offer_best sees only the
+    values that beat every earlier one, which are all that can change
+    the best sample or the first hit.
+
+    Uniforms are drawn in blocks of whole rows. PCG64's random((B, n))
+    gives the same numbers as B calls of random(n), so each row equals
+    what draw_sample would return at that step, whatever the block
+    size. A new block is compared with the current probabilities in
+    one go; after an update only the next row is compared, because an
+    update is often followed by another (the window engine's usually
+    is), and if no update follows, the rest of the block is compared
+    together. Each comparison is a new array whose rows are passed on
+    as uint8 views, so a row already handed out never changes.
 
     config is an OnlineConfig or a MemorylessConfig; eps_conv set stops
     the run early on 0/1 absorption.
     """
     recorder = config.start(variant, obj, recorder_class)
-    alpha1, stride = config.alpha1, config.stride
+    alpha1, stride, K = config.alpha1, config.stride, config.K
     offer_best, update_applied = recorder.offer_best, recorder.update_applied
     maybe_snapshot = recorder.maybe_snapshot
     probs = recorder.p0.probs.copy()
+    n = probs.size
     fn = obj.fn
     isfinite = math.isfinite
-    keep = 1.0 - alpha1
+    random, less, uint8 = rng.random, np.less, np.uint8
+    # probs * keep + toward(bits) is (1 - alpha1) * probs + alpha1 * bits
+    # to the bit: alpha1 * 1 and alpha1 * 0 are exact.
+    keep = np.full(n, 1.0 - alpha1)
+    toward = np.array([0.0, alpha1]).take
     eps = config.eps_conv
-    sampler = BlockSampler(rng, probs, config.K)
-    next_bits, set_probs = sampler.next, sampler.set_probs
+    block_rows = max(1, _DRAW_BLOCK_VALUES // n)
+    u = bits_from = None  # the block's uniforms; bits of rows first.. of u
+    r = rows = first = 0  # next row of u, rows in u
+    best = -math.inf
+    elite = False
     steps = 0
-    for t in range(config.K):
-        bits = next_bits()
+    for t in range(K):
+        if r == rows:
+            rows = min(block_rows, K - t)
+            u = random((rows, n))
+            bits_from = None
+            r = 0
+        if bits_from is not None:
+            bits = bits_from[r - first]
+        elif elite:
+            bits = less(u[r], probs).view(uint8)
+        else:
+            first = r
+            bits_from = less(u[r:], probs).view(uint8)
+            bits = bits_from[0]
+        r += 1
         value = float(fn(bits))
         if not isfinite(value):
             raise non_finite_value(variant, t, value)
-        offer_best(bits, value, t)
+        if value > best:
+            best = value
+            offer_best(bits, value, t)
         elite = is_elite(t, value)
         if elite:
-            probs = keep * probs + alpha1 * bits
-            set_probs(probs)
+            probs = probs * keep + toward(bits)
+            bits_from = None
             update_applied(probs)
         steps = t + 1
         if steps % stride == 0:

@@ -1,7 +1,7 @@
 """Block draws in the online engines, and block-folded trace recording.
 
 The window and memoryless engines draw their uniforms in blocks of rows
-(model.BlockSampler) and evaluate one consumed row at a time with
+(inside model.run_online) and evaluate one consumed row at a time with
 `Objective.fn`. Nothing a run returns may depend on the block size, the
 objective is called exactly once per step, and a non-finite value is
 reported at the draw that produced it. Likewise, no engine's RunTrace
@@ -22,14 +22,15 @@ from cemkit import (
     OnlineConfig,
     ProblemSpec,
     RngStream,
+    TraceRecorder,
     draw_sample,
     make_objective,
+    online_update,
     run_batch,
     run_memoryless,
     run_online_window,
 )
 from cemkit import model, trace
-from cemkit.model import BlockSampler
 
 TRAP = make_objective(ProblemSpec(kind="trap_k", n=10, k=5))
 DEFAULT_VALUES = model._DRAW_BLOCK_VALUES
@@ -197,26 +198,32 @@ def test_non_finite_value_named_at_its_draw(variant, engine, cfg, draw):
 @pytest.mark.parametrize("update_rate", [0.05, 0.3, 0.95])
 @pytest.mark.parametrize("rows", [1, 3, None])
 def test_sampler_rows_equal_per_step_draws(monkeypatch, rows, update_rate):
-    # Probabilities change at random steps, rarely, often or nearly
-    # always; every row must equal a fresh draw_sample at that step, and
-    # no returned row may change later.
+    # A scripted elite rule updates at random steps, rarely, often or
+    # nearly always. Every row fn is handed must equal a fresh
+    # draw_sample at that step, replayed with online_update at the same
+    # steps, and no row may change later.
     n, count = 6, 200
     monkeypatch.setattr(model, "_DRAW_BLOCK_VALUES", DEFAULT_VALUES if rows is None else rows * n)
-    changes = np.random.default_rng(9)
-    probs = np.full(n, 0.5)
-    sampler = BlockSampler(RngStream(4), probs, count)
-    reference = RngStream(4)
-    returned, expected = [], []
-    for _ in range(count):
-        row = sampler.next()
-        want = draw_sample(BernoulliParams(probs), reference)
+    script = (np.random.default_rng(9).random(count) < update_rate).tolist()
+    cfg = OnlineConfig(N=20, rho=0.1, alpha=0.5, K=count)
+    params, reference, expected = BernoulliParams.uniform_init(n), RngStream(4), []
+    for elite in script:
+        expected.append(draw_sample(params, reference))
+        if elite:
+            params = online_update(expected[-1], params, cfg.alpha1)
+    kept = []
+
+    def fn(bits):
+        want = expected[len(kept)]
+        assert bits.dtype == np.uint8 and np.array_equal(bits, want)
+        kept.append(bits)
+        return float(bits.sum())
+
+    run = model.run_online(
+        "window", cfg, Objective(name="keep_rows", n=n, fn=fn), RngStream(4),
+        TraceRecorder, lambda t, value: script[t], lambda: (None, None),
+    )
+    assert len(kept) == run.steps == count and run.update_count == sum(script)
+    assert run.final_params.probs.tobytes() == params.probs.tobytes()
+    for row, want in zip(kept, expected):
         assert row.dtype == np.uint8 and np.array_equal(row, want)
-        returned.append(row)
-        expected.append(want)
-        if changes.random() < update_rate:
-            probs = changes.random(n)
-            sampler.set_probs(probs)
-    for row, want in zip(returned, expected):
-        assert np.array_equal(row, want)
-    with pytest.raises(IndexError):
-        sampler.next()

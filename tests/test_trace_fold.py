@@ -38,6 +38,7 @@ from cemkit import (
 )
 from cemkit import batch, memoryless
 from cemkit import window as window_module
+from cemkit import model as model_module
 from cemkit import trace as trace_module
 
 DEFAULT_LOG_VALUES = trace_module._LOG_BLOCK_VALUES
@@ -409,6 +410,41 @@ def test_engines_match_pure_function_replay(case):
     for block in run.snapshots.param_blocks():
         assert np.all((block >= 0.0) & (block <= 1.0))
     assert analyze(run, obj).envelope_violations == 0
+
+
+# Edges the strategy above never reaches: alpha1 = 1, so none of the old
+# parameters is kept (ceil(rho*N) = 1, which memoryless rejects); one row
+# per draw block and per log block (n = 1030); K shorter than one draw
+# block.
+EDGE_CASES = {
+    "alpha1_one": (OBJECTIVES["trap"], dict(N=5, rho=0.1, alpha=1.0, K=200, snapshot_stride=1)),
+    "one_row_blocks": (make_objective(ProblemSpec(kind="onemax", n=1030)),
+                       dict(N=20, rho=0.1, alpha=0.5, K=150)),
+    "K_within_one_block": (OBJECTIVES["onemax"], dict(N=20, rho=0.1, alpha=0.5, K=150, snapshot_stride=3)),
+}
+
+
+@pytest.mark.parametrize("case, variant", [
+    ("alpha1_one", "window"),
+    ("one_row_blocks", "window"),
+    ("one_row_blocks", "memoryless"),
+    ("K_within_one_block", "window"),
+    ("K_within_one_block", "memoryless"),
+])
+def test_engine_edges_match_pure_function_replay(case, variant):
+    obj, settings = EDGE_CASES[case]
+    cfg = OnlineConfig(**settings) if variant == "window" else MemorylessConfig(**settings)
+    draw_rows = max(1, model_module._DRAW_BLOCK_VALUES // obj.n)
+    if case == "alpha1_one":
+        assert cfg.alpha1 == 1.0
+    elif case == "one_row_blocks":
+        assert draw_rows == max(1, DEFAULT_LOG_VALUES // obj.n) == 1
+    else:
+        assert cfg.K < draw_rows
+    engine, replay = ENGINES[variant]
+    run = engine(cfg, obj, RngStream(7))
+    assert run.steps == cfg.K and run.update_count > 0
+    assert outcome(run) == replay(cfg, obj, RngStream(7))
 
 
 @pytest.mark.parametrize("variant", ["batch", "window", "memoryless"])
