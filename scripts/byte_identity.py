@@ -8,18 +8,22 @@ CLI commands against both source trees: `run`, `compare` and
 grids of configs. The valid grid covers five problem kinds x three
 variants x snapshot_stride 1 and default x eps_conv set and unset (60
 configs); the memoryless configs cycle through the three delta
-estimators, a pinned gamma0 and a delta_min above 0. Six more valid
-configs, each for window and for memoryless, reach the edges of the
-online engines' block draws: onemax with n = 1030 (one row per draw
-block and per trace log block), trap_k with n = 100 (ten rows per draw
-block), and a maxcut with n = 20 shaped like the benchmark's
-`cli_maxcut` (60 edges, N=100, T=30, K=3000, snapshot_stride 1). The
-rejected grid
-(31 configs) gives each variant one out-of-range value of a key that
-variant reads, so the ref rejects it too; it guards the text of the
-config checks. Every (stdout, stderr, exit code) triple must be equal,
-every command on a valid config must exit 0 and every command on a
-rejected one 2, or the script prints what differs and exits 1.
+estimators, a pinned gamma0 and a delta_min above 0. Twelve more valid
+configs, six problems each for window and for memoryless, reach the
+edges of the online engines' block draws, of the trap kernel's byte
+lanes and of the trace's storage blocks: onemax with n = 1030 (one row
+per draw block and per trace log block), trap_k with n = 100 (ten rows
+per draw block), a maxcut with n = 20 shaped like the benchmark's
+`cli_maxcut` (60 edges, N=100, T=30, K=3000, snapshot_stride 1), trap_k
+with n = 256, k = 128 (the widest one-byte lanes) and with n = 258,
+k = 129 (the narrowest two-byte lanes), and onemax with n = 20,
+K = 8000 and snapshot_stride 1 (about twenty snapshot storage blocks).
+The rejected grid (31 configs) gives each variant one out-of-range
+value of a key that variant reads, so the ref rejects it too; it guards
+the text of the config checks. Every (stdout, stderr, exit code) triple
+must be equal, every command on a valid config must exit 0 and every
+command on a rejected one 2, or the script prints what differs and
+exits 1.
 
 Each config runs in its own interpreter per tree, which calls
 `cemkit.cli.main` once per command with PYTHONPATH set to that tree's
@@ -97,6 +101,9 @@ EDGES = [
     ({"kind": "onemax", "n": 1030}, {}),
     ({"kind": "trap_k", "n": 100, "k": 5}, {}),
     (MAXCUT_20, {"N": 100, "T": 30, "K": 3000, "snapshot_stride": 1}),
+    ({"kind": "trap_k", "n": 256, "k": 128}, {}),
+    ({"kind": "trap_k", "n": 258, "k": 129}, {}),
+    ({"kind": "onemax", "n": 20}, {"T": 400, "K": 8000, "snapshot_stride": 1}),
 ]
 COMMANDS = (
     ["run"],
@@ -110,7 +117,7 @@ COMMANDS = (
 
 
 def grid():
-    """The 66 valid configs, each a plain dict ready for json.dump."""
+    """The 72 valid configs, each a plain dict ready for json.dump."""
     memoryless = itertools.cycle(ESTIMATORS)
     out = []
     for i, (problem, variant, stride, eps) in enumerate(

@@ -42,10 +42,11 @@ from .oracles import MIN_REPS, order_gap_mc
 CALIBRATION_SCHEMA = "cemkit-calibration-v1"
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool) -> None:
+def _add_common(p: argparse.ArgumentParser, config_required: bool, jobs: bool = True) -> None:
     p.add_argument("--config", required=config_required, help="path to a JSON experiment config")
     p.add_argument("--seed", type=int, default=None, help="override base_seed")
-    p.add_argument("--jobs", type=int, default=None, help="worker processes (default: config, then 1)")
+    if jobs:
+        p.add_argument("--jobs", type=int, default=None, help="worker processes (default: config, then 1)")
     p.add_argument("--out", default=None, help="output file (default: stdout)")
     p.add_argument("--format", choices=("csv", "json"), default=None, help="output format (default: config, then csv)")
 
@@ -74,7 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cal = sub.add_parser(
         "calibrate-delta0", help="Monte Carlo scales behind the delta estimators"
     )
-    _add_common(p_cal, config_required=False)
+    _add_common(p_cal, config_required=False, jobs=False)
     p_cal.add_argument("--reps", type=int, default=1_000_000, help="Monte Carlo repetitions")
 
     p_dump = sub.add_parser("config-dump", help="print the fully resolved config")
@@ -144,14 +145,15 @@ def _cmd_compare(args) -> int:
 def _cmd_calibrate(args) -> int:
     if args.config is not None:
         cfg = load_config(args.config)
-        n_pop, rho = cfg.N, cfg.rho
+        n_pop, rho, seed = cfg.N, cfg.rho, cfg.base_seed
         fmt = args.format or cfg.output_format
         out = args.out or cfg.output_path
     else:
-        n_pop, rho = 100, 0.1
+        n_pop, rho, seed = ExperimentConfig.N, ExperimentConfig.rho, ExperimentConfig.base_seed
         fmt = args.format or "csv"
         out = args.out
-    seed = args.seed if args.seed is not None else 12345
+    if args.seed is not None:
+        seed = args.seed
     reps = args.reps
     if reps < MIN_REPS:
         raise ConfigError(f"reps: must be >= {MIN_REPS} for a usable estimate, got {reps}")

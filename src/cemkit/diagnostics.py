@@ -134,8 +134,9 @@ def analyze(trace: RunTrace, obj: Objective, eps_binary: float = 1e-3) -> Conver
     are None when the objective carries no optimum metadata.
 
     Snapshots are checked by array operations on the trace's blocks of
-    parameter rows, about 2^16 values at a time; param_envelope and phi are the
-    per-snapshot specification these operations reproduce exactly.
+    parameter rows, about 2^13 values at a time, so each temporary stays
+    near 64 KB; param_envelope and phi are the per-snapshot specification
+    these operations reproduce exactly.
     """
     if not 0.0 < eps_binary < 0.5:
         raise ValueError(f"eps_binary must be in (0,0.5), got {eps_binary}")

@@ -185,26 +185,26 @@ def _trap_one(n: int, k: int) -> Callable[[np.ndarray], float]:
     The row is read as one little-endian integer with a lane of w bytes
     per bit. Multiplying by 1 + 2^(8w) + ... + 2^(8w(k-1)) puts in lane i
     the count of ones in bits i-k+1..i, so lane mk + k - 1 holds the
-    count u of block m. Each such lane also gets 2^(8w-1) - k added: its
-    top byte is then 0x80 if u == k (a full block) and below it
-    otherwise. w is the narrowest lane with 2^(8w-1) >= k, so no lane
-    carries into the next. A block scores k - 1 - u, plus k + 1 if full.
-    Every term is a small integer, so the value equals the batch's float
-    sum exactly.
+    count u of block m. Each such lane also gets 2^(8w-1) - k added: it
+    then equals 2^(8w-1) if u == k (a full block) and is below it
+    otherwise, so one AND with the top bit of every such lane and one
+    bit count give the number of full blocks. w is the narrowest lane
+    with 2^(8w-1) >= k, so no lane carries into the next. A block
+    scores k - 1 - u, plus k + 1 if full. Every term is a small integer,
+    so the value equals the batch's float sum exactly.
     """
     w = next(w for w in (1, 2, 4, 8) if k <= 1 << (8 * w - 1))
     lane = np.dtype(f"<u{w}")
     spread = sum(1 << (8 * w * j) for j in range(k))
     bias = sum(((1 << (8 * w - 1)) - k) << (8 * w * i) for i in range(k - 1, n, k))
-    size = (n + k - 1) * w
-    tops = slice(k * w - 1, None, k * w)
+    tops = sum(1 << (8 * w * (i + 1) - 1) for i in range(k - 1, n, k))
     empty = n // k * (k - 1)  # the score of the all-zero row
     asarray, from_bytes = np.asarray, int.from_bytes
 
     def trap_one(x):
         row = from_bytes(asarray(x, dtype=lane).tobytes(), "little")
-        lanes = (row * spread + bias).to_bytes(size, "little")
-        return float(empty - row.bit_count() + (k + 1) * lanes[tops].count(0x80))
+        full = ((row * spread + bias) & tops).bit_count()
+        return float(empty - row.bit_count() + (k + 1) * full)
 
     return trap_one
 

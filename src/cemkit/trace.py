@@ -47,8 +47,10 @@ class TraceSnapshot:
 
 # Parameter values per storage block of a SnapshotTable (whole
 # snapshots, at least one). Blocks are added as they fill and never
-# move, so appending a snapshot never copies the earlier ones.
-_BLOCK_VALUES = 1 << 16
+# move, so appending a snapshot never copies the earlier ones. analyze
+# works one block at a time, so a 64 KB block keeps its temporaries in
+# cache.
+_BLOCK_VALUES = 1 << 13
 # Parameter values per block of a TraceRecorder's update log (whole
 # updates, at least one). The log and the pending snapshots are folded
 # into sign-change counts and table rows once per block.
@@ -65,8 +67,9 @@ class SnapshotTable(Sequence[TraceSnapshot]):
     """The snapshots of one run, stored by column.
 
     Parameter vectors and cumulative sign-change counts are the rows of
-    float64 and int64 blocks of block_rows snapshots each (about 2^16
-    values); the scalar fields are plain lists, so None stays None.
+    float64 and int64 blocks of block_rows snapshots each (about 2^13
+    values, 64 KB a block); the scalar fields are plain lists, so None
+    stays None.
     Items are TraceSnapshots whose arrays are read-only views of one
     row. A RunTrace holds the sealed() form: read-only views of the
     filled rows, scalar columns as tuples.

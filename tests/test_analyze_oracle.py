@@ -74,8 +74,8 @@ OBJECTIVES = {
 
 @pytest.fixture
 def block_size(request, monkeypatch):
-    """Parameter values per storage block; None keeps the default (one
-    block here)."""
+    """Parameter values per storage block; None keeps the default (two
+    blocks for the stride-1 online runs here, one for the others)."""
     if request.param is not None:
         monkeypatch.setattr(trace_module, "_BLOCK_VALUES", request.param)
     return request.param
@@ -104,6 +104,22 @@ def test_engine_traces_match_oracle(problem, variant, stride, block_size):
     if stride is not None:
         assert trace.snapshots.step[1] == stride
     _assert_matches_oracle(trace, obj)
+
+
+@pytest.mark.parametrize("variant, alpha", [("window", 0.03), ("memoryless", 0.2)])
+def test_long_trace_absorbing_past_its_first_storage_block(variant, alpha):
+    # At the default block size a stride-1 run of 4000 steps on n=8
+    # spans four storage blocks, and these runs first absorb in the
+    # second one, so analyze must carry its search across blocks.
+    obj = make_objective(ProblemSpec(kind="onemax", n=8))
+    engine, cls = {
+        "window": (run_online_window, OnlineConfig),
+        "memoryless": (run_memoryless, MemorylessConfig),
+    }[variant]
+    trace = engine(cls(N=30, rho=0.1, alpha=alpha, K=4000, snapshot_stride=1), obj, RngStream(21))
+    assert len(trace.snapshots.param_blocks()) >= 3
+    rep = _assert_matches_oracle(trace, obj)
+    assert rep.converged_step >= trace.snapshots.block_rows
 
 
 @pytest.mark.parametrize("block_size", [None, 1, 20], indirect=True)

@@ -263,6 +263,26 @@ class TestCalibrate:
         assert code == 0
         data = json.loads(out)
         assert data["N"] == 20 and data["rho"] == 0.2
+        # The config's base_seed is the default seed; --seed overrides it.
+        assert data["seed"] == CFG["base_seed"]
+        code, out, _ = _run(
+            capsys,
+            [
+                "calibrate-delta0", "--config", str(p),
+                "--reps", "10000", "--format", "json", "--seed", "3",
+            ],
+        )
+        assert code == 0 and json.loads(out)["seed"] == 3
+
+    @pytest.mark.parametrize("jobs", ["0", "2"])
+    def test_jobs_is_rejected(self, capsys, jobs):
+        # The calibration runs in-process; --jobs belongs to run,
+        # sweep-alpha and compare only.
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["calibrate-delta0", "--reps", "10000", "--jobs", jobs])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --jobs" in err
 
     def test_too_few_reps_is_a_config_error(self, capsys):
         code, out, err = _run(capsys, ["calibrate-delta0", "--reps", "5"])

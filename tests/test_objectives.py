@@ -241,6 +241,29 @@ def test_fn_equals_batch_fn_bit_for_bit(spec):
     assert np.array_equal(single, obj.batch_fn(rows))
 
 
+@pytest.mark.parametrize("k", [2, 5, 128, 129, 255, 256])
+def test_trap_fn_at_the_full_block_boundary(k):
+    # A block's count lane sits exactly at the full mark when it holds k
+    # ones and one below it with k - 1: every block at k - 1, every block
+    # at k, and the two alternating, with the zero of a k - 1 block at
+    # every offset in turn. One-byte lanes up to k=128, two from k=129.
+    blocks = 6
+    n = blocks * k
+    obj = make_objective(ProblemSpec(kind="trap_k", n=n, k=k))
+    shapes = {"all k-1": [False] * blocks, "all k": [True] * blocks,
+              "k first": [m % 2 == 0 for m in range(blocks)],
+              "k-1 first": [m % 2 == 1 for m in range(blocks)]}
+    for name, full in shapes.items():
+        rows = np.ones((k, n), np.uint8)
+        for r in range(k):
+            for m in range(blocks):
+                if not full[m]:
+                    rows[r, m * k + (r + m) % k] = 0
+        single = np.array([obj.fn(row) for row in rows], dtype=np.float64)
+        assert np.array_equal(single, obj.batch_fn(rows)), name
+        assert np.all(single == k * sum(full)), name
+
+
 @pytest.mark.parametrize(
     "spec",
     [
