@@ -3,9 +3,10 @@
     python3 scripts/byte_identity.py REF
 
 Extracts `git archive REF` into a temporary directory, then runs the same
-CLI commands against both source trees: `run`, `compare` and
-`sweep-alpha`, each as CSV and as JSON, plus `config-dump`, over two fixed
-grids of configs. The valid grid covers five problem kinds x three
+CLI commands against both source trees: `run`, `compare`, `sweep-alpha`
+and `calibrate-delta0` (at 10000 repetitions), each as CSV and as JSON,
+plus `config-dump`, over two fixed grids of configs: nine commands on each
+of 103 configs, 927 triples. The valid grid covers five problem kinds x three
 variants x snapshot_stride 1 and default x eps_conv set and unset (60
 configs); the memoryless configs cycle through the three delta
 estimators, a pinned gamma0 and a delta_min above 0. Twelve more valid
@@ -112,6 +113,8 @@ COMMANDS = (
     ["compare", "--format", "json"],
     ["sweep-alpha"],
     ["sweep-alpha", "--format", "json"],
+    ["calibrate-delta0", "--reps", "10000"],
+    ["calibrate-delta0", "--reps", "10000", "--format", "json"],
     ["config-dump"],
 )
 

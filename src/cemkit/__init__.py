@@ -51,7 +51,6 @@ from .normal import normal_cdf, normal_ppf
 from .objectives import ProblemSpec, enumerate_optimum, make_objective
 from .oracles import (
     GapEstimate,
-    calibrate_delta0_gauss,
     elite_probability_exhaustive,
     exhaustive_success_prob,
     order_gap_mc,
@@ -109,7 +108,6 @@ __all__ = [
     "enumerate_optimum",
     "make_objective",
     "GapEstimate",
-    "calibrate_delta0_gauss",
     "elite_probability_exhaustive",
     "exhaustive_success_prob",
     "order_gap_mc",

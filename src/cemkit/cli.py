@@ -14,9 +14,8 @@ Data goes to --out when given, stdout otherwise.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from typing import List, Optional
 
 from .errors import ConfigError
@@ -26,7 +25,9 @@ from .harness import (
     compare_to_json,
     compare_variants,
     config_to_dict,
+    csv_text,
     default_config_dict,
+    json_text,
     load_config,
     results_to_csv,
     results_to_json,
@@ -110,12 +111,15 @@ def _load(args) -> ExperimentConfig:
     return cfg
 
 
+def _write(cfg: ExperimentConfig, rows: List, to_csv, to_json) -> int:
+    """Emit a result table in the config's format to its output path."""
+    _emit(to_csv(rows) if cfg.output_format == "csv" else to_json(rows), cfg.output_path)
+    return 0
+
+
 def _cmd_run(args) -> int:
     cfg = _load(args)
-    rows = run_experiment(cfg)
-    text = results_to_csv(rows) if cfg.output_format == "csv" else results_to_json(rows)
-    _emit(text, cfg.output_path)
-    return 0
+    return _write(cfg, run_experiment(cfg), results_to_csv, results_to_json)
 
 
 def _parse_alphas(raw: str) -> List[float]:
@@ -128,32 +132,21 @@ def _parse_alphas(raw: str) -> List[float]:
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
     alphas = _parse_alphas(args.alphas) if args.alphas is not None else None
-    rows = alpha_sweep(cfg, alphas)
-    text = sweep_to_csv(rows) if cfg.output_format == "csv" else sweep_to_json(rows)
-    _emit(text, cfg.output_path)
-    return 0
+    return _write(cfg, alpha_sweep(cfg, alphas), sweep_to_csv, sweep_to_json)
 
 
 def _cmd_compare(args) -> int:
     cfg = _load(args)
-    rows = compare_variants(cfg)
-    text = compare_to_csv(rows) if cfg.output_format == "csv" else compare_to_json(rows)
-    _emit(text, cfg.output_path)
-    return 0
+    return _write(cfg, compare_variants(cfg), compare_to_csv, compare_to_json)
 
 
 def _cmd_calibrate(args) -> int:
-    if args.config is not None:
-        cfg = load_config(args.config)
-        n_pop, rho, seed = cfg.N, cfg.rho, cfg.base_seed
-        fmt = args.format or cfg.output_format
-        out = args.out or cfg.output_path
-    else:
-        n_pop, rho, seed = ExperimentConfig.N, ExperimentConfig.rho, ExperimentConfig.base_seed
-        fmt = args.format or "csv"
-        out = args.out
-    if args.seed is not None:
-        seed = args.seed
+    # Without --config, the ExperimentConfig defaults stand in for one.
+    cfg = ExperimentConfig if args.config is None else load_config(args.config)
+    n_pop, rho = cfg.N, cfg.rho
+    seed = cfg.base_seed if args.seed is None else args.seed
+    fmt = args.format or cfg.output_format
+    out = args.out if args.config is None else args.out or cfg.output_path
     reps = args.reps
     if reps < MIN_REPS:
         raise ConfigError(f"reps: must be >= {MIN_REPS} for a usable estimate, got {reps}")
@@ -166,50 +159,31 @@ def _cmd_calibrate(args) -> int:
             f"N: calibration needs N > 1/rho and ceil(rho*N) < N, got N={n_pop}, rho={rho}"
         )
 
+    # Location and scale cancel in the ratio, so U(0,1) and N(0,1) settle
+    # delta0 for every uniform and every Gaussian.
     uniform = order_gap_mc(("uniform", 0.0, 1.0), n_pop, rho, reps, RngStream(seed))
     normal = order_gap_mc(("normal", 0.0, 1.0), n_pop, rho, reps, RngStream(seed + 1))
     nominal = delta0_gauss(n_pop, rho, mode="nominal")
-    calibrated_model = delta0_gauss(n_pop, rho, mode="calibrated")
-    payload = {
-        "schema": CALIBRATION_SCHEMA,
+    groups = {
+        name: {k: v for k, v in asdict(est).items() if k != "samples"}  # samples == reps
+        for name, est in (("uniform01", uniform), ("normal01", normal))
+    }
+    groups["uniform01"].update(model_gap=1.0 / (n_pop + 1), model_absdiff=1.0 / 3.0)
+    flat = {
         "N": n_pop,
         "rho": rho,
         "reps": reps,
         "seed": seed,
-        "uniform01": {
-            "mean_gap": uniform.mean_gap,
-            "se_gap": uniform.se_gap,
-            "mean_absdiff": uniform.mean_absdiff,
-            "se_absdiff": uniform.se_absdiff,
-            "ratio": uniform.ratio,
-            "model_gap": 1.0 / (n_pop + 1),
-            "model_absdiff": 1.0 / 3.0,
-        },
-        "normal01": {
-            "mean_gap": normal.mean_gap,
-            "se_gap": normal.se_gap,
-            "mean_absdiff": normal.mean_absdiff,
-            "se_absdiff": normal.se_absdiff,
-            "ratio": normal.ratio,
-        },
         "delta0_gauss_nominal": nominal,
-        "delta0_gauss_calibrated": calibrated_model,
+        "delta0_gauss_calibrated": delta0_gauss(n_pop, rho, mode="calibrated"),
         "delta0_gauss_empirical": normal.ratio,
         "nominal_over_empirical": nominal / normal.ratio,
     }
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json_text({"schema": CALIBRATION_SCHEMA, **flat, **groups})
     else:
-        lines = ["# " + CALIBRATION_SCHEMA, "key,value"]
-        flat = dict(payload)
-        for group in ("uniform01", "normal01"):
-            for k, v in flat.pop(group).items():
-                flat[f"{group}.{k}"] = v
-        flat.pop("schema")
-        for k in sorted(flat):
-            v = flat[k]
-            lines.append(f"{k},{repr(v) if isinstance(v, float) else v}")
-        text = "\n".join(lines) + "\n"
+        flat.update((f"{g}.{k}", v) for g, group in groups.items() for k, v in group.items())
+        text = csv_text(CALIBRATION_SCHEMA, ("key", "value"), sorted(flat.items()))
     _emit(text, out)
     return 0
 
@@ -219,7 +193,7 @@ def _cmd_dump(args) -> int:
         data = config_to_dict(load_config(args.config))
     else:
         data = default_config_dict()
-    _emit(json.dumps(data, indent=2, sort_keys=True) + "\n", args.out)
+    _emit(json_text(data), args.out)
     return 0
 
 

@@ -54,6 +54,8 @@ __all__ = [
     "sweep_to_json",
     "compare_to_csv",
     "compare_to_json",
+    "json_text",
+    "csv_text",
 ]
 
 VARIANTS = ("batch", "window", "memoryless")
@@ -357,21 +359,23 @@ def _replicate_task(payload: Tuple[ExperimentConfig, int]) -> ResultRow:
 def run_experiment(cfg: ExperimentConfig, jobs: Optional[int] = None) -> List[ResultRow]:
     """Execute all replicates; rows come back in replicate order.
 
-    jobs > 1 fans replicates out to worker processes; results are
+    jobs > 1 fans replicates out to min(jobs, replicates) worker
+    processes, as a pool starts all its workers at once; results are
     identical to the sequential run because each replicate owns its
     seed and rows are collected in submission order.
     """
     n_jobs = cfg.jobs if jobs is None else jobs
     if n_jobs < 1:
         raise ConfigError(f"jobs: must be >= 1, got {n_jobs}")
-    if n_jobs == 1:
+    workers = min(n_jobs, cfg.replicates)
+    if workers == 1:
         obj = _cached_objective(cfg.problem)
         return [_run_one(cfg, obj, r) for r in range(cfg.replicates)]
     # Imported on this path only: the process pool's modules would slow
     # every start-up, and sequential runs never use them.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_replicate_task, [(cfg, r) for r in range(cfg.replicates)]))
 
 
@@ -398,6 +402,22 @@ def _sweep_miss_bound(obj: Objective, alpha1: float) -> float:
     return miss_probability_bound(phi1, alpha1, obj.n)
 
 
+def _run_cells(
+    cfg: ExperimentConfig, cells: Sequence[ExperimentConfig], what: str, jobs: Optional[int]
+) -> Tuple[Objective, List[List[ResultRow]]]:
+    """The objective and each cell's replicate rows, for a summary table.
+
+    Every cell's engine config is built, and the problem must have a
+    known optimum, before any replicate runs.
+    """
+    for sub in cells:
+        _variant_config(sub)
+    obj = _cached_objective(cfg.problem)
+    if obj.optimal_bits is None or obj.optimal_value is None:
+        raise ConfigError(f"problem: {what} requires a problem with known optimum")
+    return obj, [run_experiment(sub, jobs) for sub in cells]
+
+
 def alpha_sweep(
     cfg: ExperimentConfig, alphas: Optional[Sequence[float]] = None, jobs: Optional[int] = None
 ) -> List[SweepRow]:
@@ -411,14 +431,9 @@ def alpha_sweep(
     if grid is None or len(grid) == 0:
         raise ConfigError("alphas: required for an alpha sweep")
     cells = [replace(cfg, alpha=float(a), alphas=None) for a in grid]
-    # Rejects a bad alpha before any cell runs.
-    alpha1s = [_variant_config(sub).alpha1 for sub in cells]
-    obj = _cached_objective(cfg.problem)
-    if obj.optimal_bits is None or obj.optimal_value is None:
-        raise ConfigError("problem: alpha sweep requires a problem with known optimum")
+    obj, results = _run_cells(cfg, cells, "alpha sweep", jobs)
     out: List[SweepRow] = []
-    for sub, alpha1 in zip(cells, alpha1s):
-        rows = run_experiment(sub, jobs)
+    for sub, rows in zip(cells, results):
         hits = sum(1 for row in rows if row.first_hit is not None)
         n = len(rows)
         lo, hi = wilson_interval(hits, n)
@@ -431,7 +446,7 @@ def alpha_sweep(
                 ci_low=lo,
                 ci_high=hi,
                 miss_rate=(n - hits) / n,
-                miss_bound=_sweep_miss_bound(obj, alpha1),
+                miss_bound=_sweep_miss_bound(obj, _variant_config(sub).alpha1),
             )
         )
     return out
@@ -449,14 +464,9 @@ def compare_variants(cfg: ExperimentConfig, jobs: Optional[int] = None) -> List[
             f"K: matched budgets require T*N == K, got T*N={cfg.T * cfg.N} and K={cfg.K}"
         )
     cells = [replace(cfg, variant=v) for v in VARIANTS]
-    for sub in cells:  # every engine's constraints hold before any replicate runs
-        _variant_config(sub)
-    obj = _cached_objective(cfg.problem)
-    if obj.optimal_bits is None or obj.optimal_value is None:
-        raise ConfigError("problem: variant comparison requires a problem with known optimum")
+    _, results = _run_cells(cfg, cells, "variant comparison", jobs)
     out: List[CompareRow] = []
-    for sub in cells:
-        rows = run_experiment(sub, jobs)
+    for sub, rows in zip(cells, results):
         hits = [row.first_hit for row in rows if row.first_hit is not None]
         conv = [row.converged_step for row in rows if row.converged_step is not None]
         out.append(
@@ -491,18 +501,28 @@ def _json_value(v):
     return NEVER if v is None else v
 
 
+def json_text(data) -> str:
+    """The text of a JSON output: sorted keys, two-space indent, final newline."""
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def csv_text(schema: str, header: Sequence[str], rows) -> str:
+    """The text of a CSV output: a `# schema` line, the header, one line per row."""
+    buf = io.StringIO()
+    buf.write(f"# {schema}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    return buf.getvalue()
+
+
 def _table(schema: str, row_cls, fmt: str, rows: List) -> str:
     """One result table; columns are the row class's fields minus wall_clock."""
     cols = [f.name for f in fields(row_cls) if f.name != "wall_clock"]
     if fmt == "json":
         data = [{c: _json_value(getattr(r, c)) for c in cols} for r in rows]
-        return json.dumps({"schema": schema, "rows": data}, indent=2, sort_keys=True) + "\n"
-    buf = io.StringIO()
-    buf.write(f"# {schema}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(cols)
-    writer.writerows([_cell(getattr(r, c)) for c in cols] for r in rows)
-    return buf.getvalue()
+        return json_text({"schema": schema, "rows": data})
+    return csv_text(schema, cols, ([getattr(r, c) for c in cols] for r in rows))
 
 
 def results_to_csv(rows: List[ResultRow]) -> str:

@@ -152,6 +152,7 @@ def make_objective(spec: ProblemSpec) -> Objective:
     else:  # maxcut
         edges = np.asarray(spec.edges, dtype=np.intp)
         edges.flags.writeable = False
+        bits, value = _maxcut_optimum(n, edges) if n <= _ENUM_MAX_N else (None, None)
         obj = Objective(
             name=f"maxcut_{n}_{edges.shape[0]}",
             n=n,
@@ -159,17 +160,9 @@ def make_objective(spec: ProblemSpec) -> Objective:
             batch_fn=lambda b: (b[:, edges[:, 0]] != b[:, edges[:, 1]])
             .sum(axis=1)
             .astype(np.float64),
+            optimal_bits=bits,
+            optimal_value=value,
         )
-        if n <= _ENUM_MAX_N:
-            bits, value = _maxcut_optimum(n, edges)
-            obj = Objective(
-                name=obj.name,
-                n=n,
-                fn=obj.fn,
-                batch_fn=obj.batch_fn,
-                optimal_bits=bits,
-                optimal_value=value,
-            )
     return obj
 
 
@@ -195,11 +188,16 @@ def _trap_one(n: int, k: int) -> Callable[[np.ndarray], float]:
     """
     w = next(w for w in (1, 2, 4, 8) if k <= 1 << (8 * w - 1))
     lane = np.dtype(f"<u{w}")
-    spread = sum(1 << (8 * w * j) for j in range(k))
-    bias = sum(((1 << (8 * w - 1)) - k) << (8 * w * i) for i in range(k - 1, n, k))
-    tops = sum(1 << (8 * w * (i + 1) - 1) for i in range(k - 1, n, k))
-    empty = n // k * (k - 1)  # the score of the all-zero row
     asarray, from_bytes = np.asarray, int.from_bytes
+
+    def every_block(top: int) -> int:
+        # top in the last lane of every block, built from one block's bytes.
+        return from_bytes((bytes(w * (k - 1)) + top.to_bytes(w, "little")) * (n // k), "little")
+
+    spread = from_bytes((1).to_bytes(w, "little") * k, "little")
+    bias = every_block((1 << (8 * w - 1)) - k)
+    tops = every_block(1 << (8 * w - 1))
+    empty = n // k * (k - 1)  # the score of the all-zero row
 
     def trap_one(x):
         row = from_bytes(asarray(x, dtype=lane).tobytes(), "little")

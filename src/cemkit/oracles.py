@@ -23,7 +23,6 @@ from .objectives import _bit_rows
 __all__ = [
     "GapEstimate",
     "order_gap_mc",
-    "calibrate_delta0_gauss",
     "exhaustive_success_prob",
     "elite_probability_exhaustive",
 ]
@@ -121,15 +120,6 @@ def order_gap_mc(
         ratio=mean_gap / mean_ad,
         samples=reps,
     )
-
-
-def calibrate_delta0_gauss(N: int, rho: float, reps: int, rng: RngStream) -> float:
-    """Empirical delta0 for Gaussian values: gap-to-absdiff ratio at N(0,1).
-
-    Location and scale cancel in the ratio, so the standard normal
-    settles the constant for every Gaussian.
-    """
-    return order_gap_mc(("normal", 0.0, 1.0), N, rho, reps, rng).ratio
 
 
 def _chunk_probs(params: BernoulliParams, rows: np.ndarray) -> np.ndarray:

@@ -310,6 +310,33 @@ class TestRunExperiment:
             d2 = {k: v for k, v in vars(b).items() if k != "wall_clock"}
             assert d1 == d2
 
+    def test_no_more_workers_than_replicates(self, monkeypatch):
+        # A pool starts all its workers at once. This stand-in records the
+        # worker count and runs the replicates in-process, starting none.
+        import concurrent.futures
+
+        built = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                built.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        two = run_experiment(_fast(replicates=2), jobs=8)
+        assert built == [2]
+        one = run_experiment(_fast(replicates=1), jobs=4)
+        assert built == [2]
+        assert [r.seed for r in two] == [77, 78] and [r.seed for r in one] == [77]
+
     def test_run_variant_dispatch(self):
         obj = make_objective(ProblemSpec(kind="onemax", n=6))
         for variant in ("batch", "window", "memoryless"):
@@ -398,6 +425,13 @@ class TestCompareVariants:
     def test_budget_mismatch_refused(self):
         with pytest.raises(ConfigError, match="^K:"):
             compare_variants(_fast(T=5, N=20, K=999))
+
+    def test_requires_optimum(self, monkeypatch):
+        monkeypatch.setattr(harness, "run_experiment", _no_runs)
+        no_opt = _fast(problem=ProblemSpec(kind="maxcut", n=26, edges=((0, 1),)))
+        with pytest.raises(ConfigError) as exc:
+            compare_variants(no_opt)
+        assert str(exc.value) == "problem: variant comparison requires a problem with known optimum"
 
     def test_rows_in_variant_order(self):
         rows = compare_variants(_fast(T=5, N=20, K=100))

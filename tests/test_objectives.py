@@ -194,10 +194,10 @@ class TestEnumerateOptimum:
             enumerate_optimum(make_objective(ProblemSpec(kind="onemax", n=25)))
 
 
-def _rows(n, seed):
+def _rows(n, seed, per_density=50):
     """Random rows at several densities, plus all-zeros and all-ones."""
     rng = np.random.default_rng(seed)
-    dense = [(rng.random((50, n)) < p).astype(np.uint8) for p in (0.1, 0.5, 0.9, 0.99)]
+    dense = [(rng.random((per_density, n)) < p).astype(np.uint8) for p in (0.1, 0.5, 0.9, 0.99)]
     return np.vstack([np.zeros((1, n), np.uint8), np.ones((1, n), np.uint8), *dense])
 
 
@@ -222,6 +222,9 @@ def _rows(n, seed):
         ProblemSpec(kind="trap_k", n=512, k=256),
         ProblemSpec(kind="trap_k", n=1000, k=4),
         ProblemSpec(kind="trap_k", n=64, k=2),
+        # Wide enough that masks built by summing one term per block or
+        # per lane would take seconds.
+        ProblemSpec(kind="trap_k", n=200_000, k=2),
         ProblemSpec(kind="maxcut", n=10, edges=((0, 1), (1, 2), (2, 9), (3, 7), (4, 5), (9, 0))),
         ProblemSpec(kind="maxcut", n=30, edges=tuple((i, (7 * i + 3) % 30) for i in range(30))),
         # Repeated and reversed edges count as often as listed; vertex 7
@@ -236,7 +239,8 @@ def test_fn_equals_batch_fn_bit_for_bit(spec):
     # The online engines evaluate with fn, the batch engine with batch_fn:
     # for the integer-valued families the two must give the same floats.
     obj = make_objective(spec)
-    rows = _rows(spec.n, spec.n)
+    # Five rows per density keep the widest case's batch temporaries small.
+    rows = _rows(spec.n, spec.n, 50 if spec.n <= 1000 else 5)
     single = np.array([obj.fn(r) for r in rows], dtype=np.float64)
     assert np.array_equal(single, obj.batch_fn(rows))
 

@@ -11,7 +11,6 @@ from cemkit import (
     ProblemSpec,
     RngStream,
     ThresholdState,
-    calibrate_delta0_gauss,
     elite_probability_exhaustive,
     exhaustive_success_prob,
     make_objective,
@@ -125,8 +124,3 @@ class TestOrderGapMc:
         unit = order_gap_mc(("uniform", 0.0, 1.0), 50, 0.2, 50_000, RngStream(7))
         wide = order_gap_mc(("uniform", -3.0, 5.0), 50, 0.2, 50_000, RngStream(8))
         assert unit.ratio == pytest.approx(wide.ratio, rel=0.1)
-
-
-def test_calibrate_delta0_gauss_is_normal_ratio():
-    direct = order_gap_mc(("normal", 0.0, 1.0), 100, 0.1, 10_000, RngStream(9))
-    assert calibrate_delta0_gauss(100, 0.1, 10_000, RngStream(9)) == direct.ratio
