@@ -146,7 +146,7 @@ def _cmd_calibrate(args) -> int:
     n_pop, rho = cfg.N, cfg.rho
     seed = cfg.base_seed if args.seed is None else args.seed
     fmt = args.format or cfg.output_format
-    out = args.out if args.config is None else args.out or cfg.output_path
+    out = args.out if args.out is not None else cfg.output_path
     reps = args.reps
     if reps < MIN_REPS:
         raise ConfigError(f"reps: must be >= {MIN_REPS} for a usable estimate, got {reps}")

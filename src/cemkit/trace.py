@@ -229,6 +229,10 @@ class TraceRecorder:
         self._log = np.empty((self._log_rows + 1, n))
         self._log[0] = params0.probs
         self._rows = 0
+        # Index arrays of the fold's gather, one per log row and one per
+        # component, built once: held = signs[rows, self._columns].
+        self._row_index = np.arange(self._log_rows + 1)[:, None]
+        self._columns = np.arange(n)
         # Sign (-1.0, 0.0 or 1.0) of each component's last nonzero step,
         # and the change counts, as of log row 0.
         self._last_sign = np.zeros(n)
@@ -238,6 +242,8 @@ class TraceRecorder:
         self.update_count = 0
         self.elite_decisions = 0
         self.best: Optional[EvaluatedSample] = None
+        # best.value, or None before the first offer: a snapshot's best_value.
+        self._best_value: Optional[float] = None
         self.first_hit_step: Optional[int] = None
         self._table = SnapshotTable(n)
         self._snapshot(step=0, gamma=None, delta=None)
@@ -256,11 +262,11 @@ class TraceRecorder:
 
     def update_applied(self, new_params: np.ndarray, elites: int = 1) -> None:
         """Record one parameter update covering `elites` elite samples."""
-        self._rows += 1
-        self._log[self._rows] = new_params
+        rows = self._rows = self._rows + 1
+        self._log[rows] = new_params
         self.update_count += 1
         self.elite_decisions += elites
-        if self._rows == self._log_rows:
+        if rows == self._log_rows:
             self._fold()
 
     def _fold(self) -> None:
@@ -273,9 +279,9 @@ class TraceRecorder:
         signs[0] = self._last_sign
         np.sign(log[1:] - log[:-1], out=signs[1:])
         # Last nonzero sign up to each row, by forward-filling row indices.
-        rows = np.where(signs != 0.0, np.arange(r + 1)[:, None], 0)
+        rows = np.where(signs != 0.0, self._row_index[: r + 1], 0)
         np.maximum.accumulate(rows, axis=0, out=rows)
-        held = np.take_along_axis(signs, rows, axis=0)
+        held = signs[rows, self._columns]
         # Opposite nonzero signs multiply to -1; a zero on either side gives 0.
         counts = np.empty(log.shape, dtype=np.int64)
         counts[0] = self._sign_changes
@@ -295,6 +301,7 @@ class TraceRecorder:
         """Candidate best-so-far; earliest draw wins ties."""
         if self.best is None or value > self.best.value:
             self.best = EvaluatedSample(bits=bits.copy(), value=value, draw_index=draw_index)
+            self._best_value = value
         if (
             self.first_hit_step is None
             and self.optimal_value is not None
@@ -303,12 +310,19 @@ class TraceRecorder:
             self.first_hit_step = draw_index
 
     def maybe_snapshot(self, step: int, gamma: Optional[float], delta: Optional[float]) -> None:
+        """Take a snapshot if step is a multiple of the stride (_snapshot, inlined)."""
         if step % self.stride == 0:
-            self._snapshot(step, gamma, delta)
+            pending = self._pending
+            pending.append((
+                step, gamma, delta, self._best_value,
+                self.update_count, self.elite_decisions, self._rows,
+            ))
+            if len(pending) == self._log_rows:
+                self._fold()
 
     def _snapshot(self, step: int, gamma: Optional[float], delta: Optional[float]) -> None:
         self._pending.append((
-            step, gamma, delta, None if self.best is None else self.best.value,
+            step, gamma, delta, self._best_value,
             self.update_count, self.elite_decisions, self._rows,
         ))
         if len(self._pending) == self._log_rows:

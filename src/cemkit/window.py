@@ -50,9 +50,10 @@ class SampleWindow:
         self.capacity = capacity
         self._values: Deque[float] = deque()
         self._sorted_values: List[float] = []
-        # The (size, rho) the cached rank was computed for: after warm-up
-        # the size stays N, so elite_count runs once per window.
-        self._rank_for: Tuple[int, Optional[float]] = (0, None)
+        # The size m and the rho the cached rank was computed for: after
+        # warm-up the size stays N, so elite_count runs once per window.
+        self._m = 0
+        self._rho: Optional[float] = None
         self._rank = 0
 
     def __len__(self) -> int:
@@ -67,13 +68,35 @@ class SampleWindow:
         del self._sorted_values[bisect_left(self._sorted_values, oldest)]
         return oldest
 
+    def push(self, value: float) -> None:
+        """append(value), then evict_oldest() once the buffer holds more
+        than capacity values: one call per sample, with the same deque
+        and the same sorted list, bit for bit.
+
+        When the evicted value equals the new one and is nonzero, the
+        sorted list is left as it is: equal nonzero floats have identical
+        bits, so inserting one and deleting the other gives the same list.
+        Zeros always take the full path, because 0.0 == -0.0 and the two
+        are told apart by their position in the list.
+        """
+        values = self._values
+        values.append(value)
+        if len(values) <= self.capacity:
+            insort(self._sorted_values, value)
+            return
+        oldest = values.popleft()
+        if oldest != value or not value:
+            ranked = self._sorted_values
+            insort(ranked, value)
+            del ranked[bisect_left(ranked, oldest)]
+
     def threshold(self, rho: float) -> float:
         """ceil(rho*N)-th largest value currently in the buffer."""
         m = len(self._sorted_values)
-        if (m, rho) != self._rank_for:
+        if m != self._m or rho != self._rho:
             if m == 0:
                 raise ValueError("window is empty")
-            self._rank_for, self._rank = (m, rho), elite_count(m, rho)
+            self._m, self._rho, self._rank = m, rho, elite_count(m, rho)
         return self._sorted_values[m - self._rank]
 
     def threshold_resort(self, rho: float) -> float:
@@ -114,23 +137,22 @@ def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> R
     """Run K per-sample steps of the sliding-window variant.
 
     The shared online loop (model.run_online) with the window's elite
-    rule: window_step, inlined. A non-finite objective value raises
+    rule: window_step, inlined as one push and, after warm-up, one
+    threshold per sample. A non-finite objective value raises
     DomainError naming its draw.
     """
-    # The window holds one extra slot so appending the newest sample can
-    # precede the overflow test, as the update order requires.
     window = SampleWindow(config.N)
-    append, evict_oldest, threshold = window.append, window.evict_oldest, window.threshold
+    push, threshold = window.push, window.threshold
     N, rho = config.N, config.rho
     gamma: Optional[float] = None
 
     def is_elite(t: int, value: float) -> bool:
         nonlocal gamma
-        append(value)
-        # The window overflows from draw N on.
+        # The newest value goes in before the oldest comes out, as the
+        # update order requires; the window overflows from draw N on.
+        push(value)
         if t < N:
             return False
-        evict_oldest()
         gamma = threshold(rho)
         return value >= gamma
 

@@ -154,6 +154,26 @@ class TestFailureModes:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--config"],
+        ["sweep-alpha", "--alphas", "0.2,0.5", "--config"],
+        ["compare", "--config"],
+        ["calibrate-delta0", "--reps", "10000", "--config"],
+        ["calibrate-delta0", "--reps", "10000"],
+        ["config-dump", "--config"],
+        ["config-dump"],
+    ])
+    def test_empty_out_is_a_write_error(self, capsys, tmp_path, argv):
+        # An empty --out names no file: every command fails to write it,
+        # and none falls back to the config's output path or to stdout.
+        if argv[-1] == "--config":
+            p = tmp_path / "cfg.json"
+            p.write_text(json.dumps({**CFG, "K": 100}))
+            argv = argv + [str(p)]
+        code, out, err = _run(capsys, argv + ["--out", ""])
+        assert code == 1 and out == ""
+        assert err.startswith("error: cannot write : ")
+
     def test_no_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main([])

@@ -17,6 +17,7 @@ from cemkit import (
     BatchConfig,
     BernoulliParams,
     MemorylessConfig,
+    Objective,
     OnlineConfig,
     ProblemSpec,
     RngStream,
@@ -445,6 +446,27 @@ def test_engine_edges_match_pure_function_replay(case, variant):
     run = engine(cfg, obj, RngStream(7))
     assert run.steps == cfg.K and run.update_count > 0
     assert outcome(run) == replay(cfg, obj, RngStream(7))
+
+
+# An objective whose values are 0.0 or -0.0, by the parity of the ones.
+# The two compare equal, so every sample is elite and only the window's
+# sorted index, which keeps equal values in arrival order, decides which
+# zero is the threshold. No CLI objective produces -0.0.
+SIGNED_ZEROS = Objective(name="signed_zeros", n=6, fn=lambda bits: -0.0 if int(bits.sum()) % 2 else 0.0)
+
+
+@pytest.mark.parametrize("stride", [None, 1])
+def test_window_on_signed_zeros_matches_replay(stride):
+    cfg = OnlineConfig(N=20, rho=0.1, alpha=0.05, K=400, snapshot_stride=stride)
+    run = run_online_window(cfg, SIGNED_ZEROS, RngStream(5))
+    ref = replay_window(cfg, SIGNED_ZEROS, RngStream(5))
+    assert outcome(run) == ref
+    # == cannot tell 0.0 from -0.0; repr can.
+    gammas = [repr(s.gamma) for s in run.snapshots]
+    assert gammas == [repr(row[1]) for row in ref[-1]]
+    assert repr(run.gamma_final) == repr(ref[6])
+    if stride == 1:
+        assert {"0.0", "-0.0"} <= set(gammas)
 
 
 @pytest.mark.parametrize("variant", ["batch", "window", "memoryless"])

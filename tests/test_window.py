@@ -1,9 +1,12 @@
 """Sliding-window engine: buffer mechanics, per-sample updates, full runs."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cemkit import (
     BernoulliParams,
@@ -70,6 +73,32 @@ class TestSampleWindow:
         win.evict_oldest()
         with pytest.raises(ValueError):
             win.threshold(0.1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        capacity=st.integers(1, 6),
+        rho=st.sampled_from([0.1, 0.3, 0.5, 0.9]),
+        stream=st.lists(
+            st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5]), st.floats(-3.0, 3.0)),
+            max_size=60,
+        ),
+    )
+    def test_push_matches_append_then_evict(self, capacity, rho, stream):
+        # push skips the sorted index when the evicted value equals the new
+        # one; ties and signed zeros must still leave both buffers exactly
+        # as append plus evict_oldest leaves them, sign of zero included.
+        def bits(values):
+            return [struct.pack("d", v) for v in values]
+
+        pushed, twin = SampleWindow(capacity), SampleWindow(capacity)
+        for v in stream:
+            pushed.push(v)
+            twin.append(v)
+            if len(twin) > capacity:
+                twin.evict_oldest()
+            assert bits(pushed._values) == bits(twin._values)
+            assert bits(pushed._sorted_values) == bits(twin._sorted_values)
+            assert pushed.threshold(rho) == pushed.threshold_resort(rho)
 
 
 class TestWindowStep:
