@@ -150,12 +150,9 @@ def analyze(trace: RunTrace, obj: Objective, eps_binary: float = 1e-3) -> Conver
             raise DimensionError(f"target of length {x_star.size}, params of length {trace.n}")
 
     # The band of param_envelope for every snapshot. The shrink factor
-    # is float.__pow__ (Python's **, as in param_envelope), once per
-    # distinct update count.
-    counts = snaps.update_count
-    distinct = set(counts)
-    shrink_of = dict(zip(distinct, map((1.0 - trace.alpha1).__pow__, distinct)))
-    shrink = np.fromiter(map(shrink_of.__getitem__, counts), np.float64, len(counts))[:, None]
+    # is Python's ** (as in param_envelope), once per update count.
+    shrink_of = {u: (1.0 - trace.alpha1) ** u for u in set(snaps.update_count)}
+    shrink = np.array([shrink_of[u] for u in snaps.update_count])[:, None]
     violations = 0
     first_absorbed: Optional[int] = None
     phis: List[float] = []

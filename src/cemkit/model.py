@@ -335,7 +335,7 @@ def run_online(
     r = rows = first = 0  # next row of u, rows in u
     best = -math.inf
     elite = False
-    to_snapshot = stride  # steps left until the next snapshot step
+    steps = 0
     for t in range(K):
         if r == rows:
             rows = min(block_rows, K - t)
@@ -362,11 +362,10 @@ def run_online(
             probs = probs * keep + toward(bits)
             bits_from = None
             update_applied(probs)
-        to_snapshot -= 1
-        if not to_snapshot:
-            to_snapshot = stride
-            maybe_snapshot(t + 1, *state())
+        steps = t + 1
+        if steps % stride == 0:
+            gamma, delta = state()
+            maybe_snapshot(steps, gamma, delta)
         if elite and eps is not None and is_absorbed(probs, eps):
             break
-    # K >= 1, so the loop ran and t is the last step taken.
-    return recorder.finish(t + 1, *state())
+    return recorder.finish(steps, *state())

@@ -242,8 +242,6 @@ class TraceRecorder:
         self.update_count = 0
         self.elite_decisions = 0
         self.best: Optional[EvaluatedSample] = None
-        # best.value, or None before the first offer: a snapshot's best_value.
-        self._best_value: Optional[float] = None
         self.first_hit_step: Optional[int] = None
         self._table = SnapshotTable(n)
         self._snapshot(step=0, gamma=None, delta=None)
@@ -301,7 +299,6 @@ class TraceRecorder:
         """Candidate best-so-far; earliest draw wins ties."""
         if self.best is None or value > self.best.value:
             self.best = EvaluatedSample(bits=bits.copy(), value=value, draw_index=draw_index)
-            self._best_value = value
         if (
             self.first_hit_step is None
             and self.optimal_value is not None
@@ -310,19 +307,12 @@ class TraceRecorder:
             self.first_hit_step = draw_index
 
     def maybe_snapshot(self, step: int, gamma: Optional[float], delta: Optional[float]) -> None:
-        """Take a snapshot if step is a multiple of the stride (_snapshot, inlined)."""
         if step % self.stride == 0:
-            pending = self._pending
-            pending.append((
-                step, gamma, delta, self._best_value,
-                self.update_count, self.elite_decisions, self._rows,
-            ))
-            if len(pending) == self._log_rows:
-                self._fold()
+            self._snapshot(step, gamma, delta)
 
     def _snapshot(self, step: int, gamma: Optional[float], delta: Optional[float]) -> None:
         self._pending.append((
-            step, gamma, delta, self._best_value,
+            step, gamma, delta, None if self.best is None else self.best.value,
             self.update_count, self.elite_decisions, self._rows,
         ))
         if len(self._pending) == self._log_rows:
