@@ -6,7 +6,7 @@ Extracts `git archive REF` into a temporary directory, then runs the same
 CLI commands against both source trees: `run`, `compare`, `sweep-alpha`
 and `calibrate-delta0` (at 10000 repetitions), each as CSV and as JSON,
 plus `config-dump`, over two fixed grids of configs: nine commands on each
-of 103 configs, 927 triples. The valid grid covers five problem kinds x three
+of 104 configs, 936 triples. The valid grid covers five problem kinds x three
 variants x snapshot_stride 1 and default x eps_conv set and unset (60
 configs); the memoryless configs cycle through the three delta
 estimators, a pinned gamma0 and a delta_min above 0. Twelve more valid
@@ -19,6 +19,8 @@ per draw block), a maxcut with n = 20 shaped like the benchmark's
 with n = 256, k = 128 (the widest one-byte lanes) and with n = 258,
 k = 129 (the narrowest two-byte lanes), and onemax with n = 20,
 K = 8000 and snapshot_stride 1 (about twenty snapshot storage blocks).
+One more valid batch config runs at alpha = 1 with the grid [1.0, 0.2],
+where the per-update step is 1 and the miss bound's tail sum is 0.
 The rejected grid (31 configs) gives each variant one out-of-range
 value of a key that variant reads, so the ref rejects it too; it guards
 the text of the config checks. Every (stdout, stderr, exit code) triple
@@ -120,7 +122,7 @@ COMMANDS = (
 
 
 def grid():
-    """The 72 valid configs, each a plain dict ready for json.dump."""
+    """The 73 valid configs, each a plain dict ready for json.dump."""
     memoryless = itertools.cycle(ESTIMATORS)
     out = []
     for i, (problem, variant, stride, eps) in enumerate(
@@ -144,6 +146,11 @@ def grid():
             "replicates": 3, "base_seed": 900 + 7 * i, "alphas": [0.7, 0.2], "jobs": 1,
             **settings,
         })
+    out.append({
+        "problem": PROBLEMS[0], "variant": "batch",
+        "N": 20, "rho": 0.1, "alpha": 1.0, "T": 15, "K": 300,
+        "replicates": 3, "base_seed": 2000, "alphas": [1.0, 0.2], "jobs": 1,
+    })
     return out
 
 

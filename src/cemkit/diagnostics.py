@@ -67,25 +67,33 @@ def param_envelope(
 
 
 def geometric_tail_sum(alpha1: float, n: int) -> float:
-    """h(alpha1) = sum over t >= 1 of (1-alpha1)^(n*t), in closed form."""
+    """h(alpha1) = sum over t >= 1 of (1-alpha1)^(n*t), in closed form.
+
+    Defined on alpha1 in (0,1]; h(1) = 0 exactly, as (1-1)^n = 0.
+    """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 < alpha1 < 1.0:
-        raise DomainError(f"alpha1 must be in (0,1), got {alpha1}")
+    if not 0.0 < alpha1 <= 1.0:
+        raise DomainError(f"alpha1 must be in (0,1], got {alpha1}")
     r = (1.0 - alpha1) ** n
-    return 1.0 / (1.0 - r) - 1.0
+    # r is 1.0 only when 1 - alpha1 rounds to 1 (alpha1 <= 2^-54); h is
+    # large but finite there, so 1 - r comes from the logarithm instead.
+    gap = 1.0 - r if r < 1.0 else -math.expm1(n * math.log1p(-alpha1))
+    return 1.0 / gap - 1.0
 
 
 def miss_probability_bound(phi1: float, alpha1: float, n: int) -> float:
     """The factor exp(-phi1 * h(alpha1)).
 
     Multiply by the first-step miss probability 1 - phi1 to get the full
-    bound on the probability of never generating the target. alpha1 = 0
-    is rejected: h diverges there and the bound degenerates to 0 in the
-    limit, which callers should report rather than compute.
+    bound on the probability of never generating the target. The factor
+    is 1.0 at alpha1 = 1 (h is 0) and at phi1 = 0 (2^-n underflows from
+    n = 1075 on). alpha1 = 0 is rejected: h diverges there and the bound
+    degenerates to 0 in the limit, which callers should report rather
+    than compute.
     """
-    if not 0.0 < phi1 <= 1.0:
-        raise DomainError(f"phi1 must be in (0,1], got {phi1}")
+    if not 0.0 <= phi1 <= 1.0:
+        raise DomainError(f"phi1 must be in [0,1], got {phi1}")
     return math.exp(-phi1 * geometric_tail_sum(alpha1, n))
 
 
@@ -178,12 +186,7 @@ def analyze(trace: RunTrace, obj: Objective, eps_binary: float = 1e-3) -> Conver
     if optimum_known:
         phi_series = list(zip(snaps.step, phis))
         phi1 = phi_series[0][1]
-        if phi1 > 0.0:
-            if trace.alpha1 >= 1.0:
-                # h -> 0 as alpha1 -> 1: nothing survives the first step.
-                miss_bound = 1.0 - phi1
-            else:
-                miss_bound = (1.0 - phi1) * miss_probability_bound(phi1, trace.alpha1, trace.n)
+        miss_bound = (1.0 - phi1) * miss_probability_bound(phi1, trace.alpha1, trace.n)
         optimum_generated = trace.first_hit_step is not None
 
     return ConvergenceReport(

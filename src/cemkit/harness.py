@@ -393,15 +393,6 @@ def wilson_interval(hits: int, n: int, z: float = 1.959963984540054) -> Tuple[fl
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _sweep_miss_bound(obj: Objective, alpha1: float) -> float:
-    """Reference bound column: exp(-phi1*h(alpha1)) at the uniform start."""
-    p0 = BernoulliParams.uniform_init(obj.n)
-    phi1 = phi(p0, obj.optimal_bits)
-    if alpha1 >= 1.0:
-        return 1.0
-    return miss_probability_bound(phi1, alpha1, obj.n)
-
-
 def _run_cells(
     cfg: ExperimentConfig, cells: Sequence[ExperimentConfig], what: str, jobs: Optional[int]
 ) -> Tuple[Objective, List[List[ResultRow]]]:
@@ -425,13 +416,15 @@ def alpha_sweep(
 
     Needs a problem with known optimum: the summary is the hit rate with
     a 95% Wilson interval, next to the theoretical miss bound for the
-    per-update step size in force.
+    per-update step size in force: exp(-phi1*h(alpha1)) at the uniform
+    start. A grid passed in is checked as the config's `alphas`.
     """
-    grid = tuple(alphas) if alphas is not None else cfg.alphas
-    if grid is None or len(grid) == 0:
+    cfg = cfg if alphas is None else replace(cfg, alphas=tuple(alphas))
+    if cfg.alphas is None:
         raise ConfigError("alphas: required for an alpha sweep")
-    cells = [replace(cfg, alpha=float(a), alphas=None) for a in grid]
+    cells = [replace(cfg, alpha=float(a), alphas=None) for a in cfg.alphas]
     obj, results = _run_cells(cfg, cells, "alpha sweep", jobs)
+    phi1 = phi(BernoulliParams.uniform_init(obj.n), obj.optimal_bits)
     out: List[SweepRow] = []
     for sub, rows in zip(cells, results):
         hits = sum(1 for row in rows if row.first_hit is not None)
@@ -446,7 +439,7 @@ def alpha_sweep(
                 ci_low=lo,
                 ci_high=hi,
                 miss_rate=(n - hits) / n,
-                miss_bound=_sweep_miss_bound(obj, _variant_config(sub).alpha1),
+                miss_bound=miss_probability_bound(phi1, _variant_config(sub).alpha1, obj.n),
             )
         )
     return out

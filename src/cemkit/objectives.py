@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -244,6 +244,18 @@ def _bit_rows(n: int, start: int, count: int) -> np.ndarray:
     return ((ints >> shifts) & np.uint64(1)).astype(np.uint8)
 
 
+def _all_rows(n: int, max_n: int, what: str) -> Iterator[Tuple[int, np.ndarray]]:
+    """Every row of {0,1}^n in order, as (start, rows) blocks of up to
+    _ENUM_CHUNK rows; n above max_n is refused here, not on first use."""
+    if n > max_n:
+        raise CapacityError(f"enumeration over 2^{n} {what} refused (max n={max_n})")
+    total = 1 << n
+    return (
+        (start, _bit_rows(n, start, min(_ENUM_CHUNK, total - start)))
+        for start in range(0, total, _ENUM_CHUNK)
+    )
+
+
 def _maxcut_optimum(n: int, edges: np.ndarray) -> Tuple[np.ndarray, float]:
     """enumerate_optimum for a cut, without evaluating 2^n rows.
 
@@ -287,14 +299,10 @@ def enumerate_optimum(obj: Objective) -> Tuple[np.ndarray, float]:
     Refuses dimensions above 24; the table stops fitting in memory and
     the scan stops fitting in patience well before that matters.
     """
-    if obj.n > _ENUM_MAX_N:
-        raise CapacityError(f"enumeration over 2^{obj.n} points refused (max n={_ENUM_MAX_N})")
-    total = 1 << obj.n
     best_value = -np.inf
     best_index = 0
-    for start in range(0, total, _ENUM_CHUNK):
-        count = min(_ENUM_CHUNK, total - start)
-        values = obj.evaluate_many(_bit_rows(obj.n, start, count))
+    for start, rows in _all_rows(obj.n, _ENUM_MAX_N, "points"):
+        values = obj.evaluate_many(rows)
         local = int(np.argmax(values))
         # Strict comparison keeps the first (lex-smallest) maximizer.
         if values[local] > best_value:

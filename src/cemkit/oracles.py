@@ -16,9 +16,8 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import CapacityError
 from .model import BernoulliParams, Objective, RngStream, elite_count
-from .objectives import _bit_rows
+from .objectives import _all_rows
 
 __all__ = [
     "GapEstimate",
@@ -28,7 +27,6 @@ __all__ = [
 ]
 
 _ENUM_MAX_N = 20
-_ENUM_CHUNK = 1 << 14
 # Rows simulated per batch of the Monte Carlo loop. A code constant,
 # not a knob: estimates must not depend on how the loop is blocked.
 _MC_CHUNK = 4096
@@ -135,15 +133,12 @@ def exhaustive_success_prob(params: BernoulliParams, x_star: np.ndarray) -> floa
     formula it is used to check.
     """
     n = params.n
-    if n > _ENUM_MAX_N:
-        raise CapacityError(f"enumeration over 2^{n} outcomes refused (max n={_ENUM_MAX_N})")
+    blocks = _all_rows(n, _ENUM_MAX_N, "outcomes")
     x = np.asarray(x_star, dtype=np.uint8)
     if x.shape != params.probs.shape:
         raise ValueError(f"target of length {x.size}, params of length {n}")
-    total = 1 << n
     acc = 0.0
-    for start in range(0, total, _ENUM_CHUNK):
-        rows = _bit_rows(n, start, min(_ENUM_CHUNK, total - start))
+    for _, rows in blocks:
         match = np.all(rows == x, axis=1)
         if np.any(match):
             acc += float(_chunk_probs(params, rows[match]).sum())
@@ -159,14 +154,11 @@ def elite_probability_exhaustive(
     E[gamma step] = delta * (q*(1-rho) - (1-q)*rho) with q this value.
     """
     n = params.n
-    if n > _ENUM_MAX_N:
-        raise CapacityError(f"enumeration over 2^{n} outcomes refused (max n={_ENUM_MAX_N})")
+    blocks = _all_rows(n, _ENUM_MAX_N, "outcomes")
     if obj.n != n:
         raise ValueError(f"objective dimension {obj.n} does not match params dimension {n}")
-    total = 1 << n
     acc = 0.0
-    for start in range(0, total, _ENUM_CHUNK):
-        rows = _bit_rows(n, start, min(_ENUM_CHUNK, total - start))
+    for _, rows in blocks:
         values = obj.evaluate_many(rows)
         mask = values >= gamma
         if np.any(mask):

@@ -82,6 +82,19 @@ class TestRun:
         _run(capsys, ["run", "--config", cfg_path, "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("patch", [
+        {"variant": "window", "N": 100, "alpha": 5e-16, "K": 150},
+        {"variant": "batch", "N": 20, "alpha": 1e-17, "T": 3},
+    ])
+    def test_step_below_half_ulp_of_one(self, capsys, tmp_path, patch):
+        # alpha1 of about 5e-17 and 1e-17: 1 - alpha1 rounds to 1, and each
+        # replicate's miss bound is still computed.
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**CFG, "problem": {"kind": "onemax", "n": 60}, **patch}))
+        code, out, err = _run(capsys, ["run", "--config", str(p)])
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == 2 + 3
+
 
 class TestFailureModes:
     def test_missing_config_file(self, capsys, tmp_path):
@@ -185,6 +198,10 @@ class TestFailureModes:
         assert exc.value.code == 2
 
 
+def _no_runs(*args, **kwargs):
+    raise AssertionError("a replicate ran before the grid was checked")
+
+
 class TestSweep:
     def test_grid_from_flag(self, capsys, tmp_path):
         p = tmp_path / "cfg.json"
@@ -205,6 +222,30 @@ class TestSweep:
             capsys, ["sweep-alpha", "--config", cfg_path, "--alphas", "abc"]
         )
         assert code == 2 and "config error:" in err
+
+    @pytest.mark.parametrize("grid, message", [
+        ("0.5,nan", "alphas: every entry must be in (0,1], got nan"),
+        ("", "alphas: must be non-empty when given"),
+    ])
+    def test_grid_checked_as_alphas(self, capsys, monkeypatch, cfg_path, grid, message):
+        # A --alphas grid gets the config's `alphas` check, which names
+        # the grid, before any replicate runs.
+        monkeypatch.setattr(harness, "run_experiment", _no_runs)
+        code, out, err = _run(capsys, ["sweep-alpha", "--config", cfg_path, "--alphas", grid])
+        assert (code, out, err) == (2, "", f"config error: {message}\n")
+
+    def test_underflowed_phi1(self, capsys, tmp_path):
+        # 2^-1100 underflows to 0.0, so the bound column is exactly 1.
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({
+            **CFG, "problem": {"kind": "onemax", "n": 1100},
+            "variant": "window", "K": 100, "replicates": 1,
+        }))
+        code, out, err = _run(
+            capsys, ["sweep-alpha", "--config", str(p), "--alphas", "0.5", "--format", "json"]
+        )
+        assert code == 0 and err == ""
+        assert [row["miss_bound"] for row in json.loads(out)["rows"]] == [1.0]
 
 
 class TestCompare:

@@ -89,11 +89,22 @@ class TestGeometricTailSum:
         assert geometric_tail_sum(a, n) == pytest.approx(direct, abs=1e-10)
 
     def test_domain(self):
-        for a in (0.0, 1.0, -0.2, 1.3):
+        for a in (0.0, -0.2, 1.3):
             with pytest.raises(DomainError):
                 geometric_tail_sum(a, 5)
         with pytest.raises(ValueError):
             geometric_tail_sum(0.5, 0)
+        # alpha1 = 1 is in the domain: (1 - 1)^n = 0 leaves an empty tail.
+        for n in (1, 5, 1100):
+            assert geometric_tail_sum(1.0, n) == 0.0
+
+    @pytest.mark.parametrize("a", [2.0 ** -54, 5e-17, 1e-20, 2.0 ** -80])
+    @pytest.mark.parametrize("n", [1, 60, 5000])
+    def test_step_below_half_ulp_of_one(self, a, n):
+        # 1 - a rounds to 1, so (1 - a)^n is 1.0; h is still about
+        # 1/(n*a) - 1, not a division by zero or inf.
+        assert 1.0 - a == 1.0
+        assert geometric_tail_sum(a, n) == pytest.approx(1.0 / (n * a) - 1.0, rel=1e-12)
 
 
 class TestMissProbabilityBound:
@@ -109,12 +120,23 @@ class TestMissProbabilityBound:
         assert 0.0 < miss_probability_bound(1.0, 0.5, 3) < 1.0
 
     def test_domain(self):
-        with pytest.raises(DomainError):
-            miss_probability_bound(0.0, 0.1, 5)
-        with pytest.raises(DomainError):
-            miss_probability_bound(1.2, 0.1, 5)
-        with pytest.raises(DomainError):
-            miss_probability_bound(0.5, 1.0, 5)
+        for phi1, a in ((-0.1, 0.1), (1.2, 0.1), (0.5, 0.0), (0.5, -0.2), (0.5, 1.3)):
+            with pytest.raises(DomainError):
+                miss_probability_bound(phi1, a, 5)
+        # phi1 = 0 (2^-n underflowed) and alpha1 = 1 (empty tail) both
+        # leave the factor at exactly 1.
+        for a in (1.0, 0.5, 1e-3):
+            assert miss_probability_bound(0.0, a, 5) == 1.0
+        for p in (0.0, 2.0 ** -5, 0.5, 1.0):
+            assert miss_probability_bound(p, 1.0, 5) == 1.0
+
+    def test_step_below_half_ulp_of_one(self):
+        # h(5e-17) at n = 60 is about 3.3e14, so the factor is finite and
+        # just below 1.
+        phi1 = 2.0 ** -60
+        bound = miss_probability_bound(phi1, 5e-17, 60)
+        assert bound == pytest.approx(math.exp(-phi1 / (60 * 5e-17)), rel=1e-12)
+        assert 0.9996 < bound < 1.0
 
     def test_shrinks_with_smaller_alpha1(self):
         # Smaller steps keep phi_t away from 0 longer, so the bound on
@@ -155,6 +177,26 @@ class TestAnalyze:
         trace = run_batch(cfg, obj, RngStream(1))
         rep = analyze(trace, obj)
         assert rep.miss_bound == pytest.approx(1.0 - 2.0 ** -4, abs=1e-15)
+
+    def test_miss_bound_at_underflowed_phi1(self):
+        # phi1 = 2^-1100 is 0.0 in floats: the bound is 1, not missing.
+        obj = make_objective(ProblemSpec(kind="onemax", n=1100))
+        cfg = BatchConfig(N=20, rho=0.1, alpha=0.7, T=2, eps_conv=None)
+        rep = analyze(run_batch(cfg, obj, RngStream(5)), obj)
+        assert rep.phi_series[0][1] == 0.0
+        assert rep.miss_bound == 1.0
+
+    def test_miss_bound_at_step_below_half_ulp_of_one(self):
+        # alpha = 5e-16 with ceil(rho*N) = 10 gives alpha1 of about
+        # 5e-17, where 1 - alpha1 rounds to 1.
+        obj = make_objective(ProblemSpec(kind="onemax", n=60))
+        cfg = OnlineConfig(N=100, rho=0.1, alpha=5e-16, K=150)
+        trace = run_online_window(cfg, obj, RngStream(3))
+        assert 1.0 - trace.alpha1 == 1.0
+        rep = analyze(trace, obj)
+        phi1 = 2.0 ** -60
+        assert math.isfinite(rep.miss_bound)
+        assert rep.miss_bound == (1 - phi1) * miss_probability_bound(phi1, trace.alpha1, 60)
 
     def test_unknown_optimum_leaves_fields_none(self):
         obj = negated(make_objective(ProblemSpec(kind="onemax", n=5)))

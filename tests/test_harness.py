@@ -400,7 +400,7 @@ class TestAlphaSweep:
 
     def test_every_alpha_checked_before_running(self, monkeypatch):
         monkeypatch.setattr(harness, "run_experiment", _no_runs)
-        with pytest.raises(ConfigError, match="^alpha:"):
+        with pytest.raises(ConfigError, match="^alphas:"):
             alpha_sweep(_fast(variant="window", K=200), alphas=(0.9, 1.5))
 
     def test_requires_grid_and_optimum(self):
