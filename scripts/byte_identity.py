@@ -6,7 +6,7 @@ Extracts `git archive REF` into a temporary directory, then runs the same
 CLI commands against both source trees: `run`, `compare`, `sweep-alpha`
 and `calibrate-delta0` (at 10000 repetitions), each as CSV and as JSON,
 plus `config-dump`, over two fixed grids of configs: nine commands on each
-of 104 configs, 936 triples. The valid grid covers five problem kinds x three
+of 107 configs, 963 triples. The valid grid covers five problem kinds x three
 variants x snapshot_stride 1 and default x eps_conv set and unset (60
 configs); the memoryless configs cycle through the three delta
 estimators, a pinned gamma0 and a delta_min above 0. Twelve more valid
@@ -21,6 +21,10 @@ k = 129 (the narrowest two-byte lanes), and onemax with n = 20,
 K = 8000 and snapshot_stride 1 (about twenty snapshot storage blocks).
 One more valid batch config runs at alpha = 1 with the grid [1.0, 0.2],
 where the per-update step is 1 and the miss bound's tail sum is 0.
+Three window configs on trap_k with n = 10, k = 5 at alpha = 0.9,
+N = 100 and K = 5000 settle early, so most of their steps are finished
+in settled stretches: at snapshot_stride 1, at the default stride, and
+with eps_conv = 1e-60, which stops the runs inside a stretch.
 The rejected grid (31 configs) gives each variant one out-of-range
 value of a key that variant reads, so the ref rejects it too; it guards
 the text of the config checks. Every (stdout, stderr, exit code) triple
@@ -122,7 +126,7 @@ COMMANDS = (
 
 
 def grid():
-    """The 73 valid configs, each a plain dict ready for json.dump."""
+    """The 76 valid configs, each a plain dict ready for json.dump."""
     memoryless = itertools.cycle(ESTIMATORS)
     out = []
     for i, (problem, variant, stride, eps) in enumerate(
@@ -151,6 +155,13 @@ def grid():
         "N": 20, "rho": 0.1, "alpha": 1.0, "T": 15, "K": 300,
         "replicates": 3, "base_seed": 2000, "alphas": [1.0, 0.2], "jobs": 1,
     })
+    for i, settings in enumerate(({"snapshot_stride": 1}, {}, {"eps_conv": 1e-60})):
+        out.append({
+            "problem": PROBLEMS[2], "variant": "window",
+            "N": 100, "rho": 0.1, "alpha": 0.9, "T": 50, "K": 5000,
+            "replicates": 3, "base_seed": 3000 + 7 * i, "alphas": [0.9, 0.5], "jobs": 1,
+            **settings,
+        })
     return out
 
 

@@ -253,9 +253,10 @@ def parse_config(data: Dict) -> ExperimentConfig:
     record and a silently ignored typo would poison it. The objective
     (cached for the run) and the selected variant's engine config are
     built here so their constraint violations surface at parse time.
-    So are the batch and window configs, which have no cross-field
-    rule: their range checks then cover T, K and snapshot_stride
-    whichever variant reads them.
+    So are the batch and window configs: their checks then cover T, K,
+    snapshot_stride and the online step alpha/ceil(rho*N) whichever
+    variant reads them, so a config with a subnormal alpha whose online
+    step underflows fails here even for the batch variant.
     """
     cfg = _build(ExperimentConfig, data, "config")
     _cached_objective(cfg.problem)
@@ -367,6 +368,7 @@ def run_experiment(cfg: ExperimentConfig, jobs: Optional[int] = None) -> List[Re
     n_jobs = cfg.jobs if jobs is None else jobs
     if n_jobs < 1:
         raise ConfigError(f"jobs: must be >= 1, got {n_jobs}")
+    _variant_config(cfg)  # the engine config's checks run before any replicate
     workers = min(n_jobs, cfg.replicates)
     if workers == 1:
         obj = _cached_objective(cfg.problem)

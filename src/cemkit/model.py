@@ -199,8 +199,8 @@ class RunSettings:
 
     p0 = None means the standard all-0.5 start. eps_conv set stops a run
     early on full 0/1 absorption. Each engine config adds its budget and
-    defines alpha1, the step of one update, and stride, the evaluations
-    between trace snapshots.
+    defines alpha1, the step of one update, which must not underflow to
+    0.0, and stride, the evaluations between trace snapshots.
     """
 
     N: int
@@ -216,6 +216,10 @@ class RunSettings:
             raise ConfigError(f"rho: elite fraction must be in (0,1), got {self.rho}")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigError(f"alpha: smoothing factor must be in (0,1], got {self.alpha}")
+        # alpha1 is the engine config's own; an online step alpha/ceil(rho*N)
+        # underflows to 0.0 for a subnormal alpha.
+        if not self.alpha1 > 0.0:
+            raise ConfigError(f"alpha: per-update step alpha1 underflows to 0.0, got {self.alpha}")
         # Interior start: absorption analysis assumes no component begins
         # already frozen at 0 or 1.
         if self.p0 is not None and (np.any(self.p0.probs <= 0.0) or np.any(self.p0.probs >= 1.0)):
@@ -282,6 +286,49 @@ def non_finite_value(variant: str, draw_index: int, value: float) -> DomainError
     )
 
 
+def _settled_stretch(u, probs, x, keep, alpha1, eps, fn, v):
+    """The leading rows of a draw block that a settled run takes at x.
+
+    x is the last row drawn, the last step was elite with value v, and
+    the elite rule keeps taking v at x without changing its state. The
+    components with x_i = 1 must be fixed points, p*keep + alpha1 == p,
+    or no row is taken. Every further step at x then moves only the
+    components with x_i = 0, each by a factor keep: params, built with
+    np.multiply.accumulate, holds the parameters before each row of u
+    and after the last, rounded as run_online's update rounds them.
+    A row is taken while it draws x against the parameters before it,
+    fn gives it v again (equal to a nonzero v means equal bits), and no
+    earlier row absorbed the run under eps.
+
+    Returns (params, m, carried, absorbed): m rows taken, their
+    parameters params[1 : m + 1]; carried the (bits, value) of row m when
+    fn was called on it and gave another value, else None; absorbed
+    whether the parameters after row m - 1 stop the run.
+    """
+    ones = x.view(bool)
+    if not (probs * keep + alpha1 == probs)[ones].all():
+        return None, 0, None, False
+    rows = len(u)
+    params = np.empty((rows + 1, probs.size))
+    params[0] = probs
+    params[1:] = np.where(ones, 1.0, keep)
+    np.multiply.accumulate(params, axis=0, out=params)
+    drawn = np.less(u, params[:-1])
+    differ = np.flatnonzero((drawn != ones).any(axis=1))
+    m = int(differ[0]) if differ.size else rows
+    absorbed = False
+    if eps is not None and m:
+        after = params[1 : m + 1]
+        inside = ((after > eps) & (after < 1.0 - eps)).any(axis=1)
+        if not inside.all():
+            m, absorbed = int(inside.argmin()) + 1, True
+    for s, row in enumerate(drawn[:m].view(np.uint8)):
+        value = float(fn(row))
+        if value != v:
+            return params, s, (row, value), False
+    return params, m, None, absorbed
+
+
 def run_online(
     variant: str,
     config: OnlineConfig,
@@ -290,6 +337,7 @@ def run_online(
     recorder_class: type,
     is_elite: Callable[[int, float], bool],
     state: Callable[[], Tuple[Optional[float], Optional[float]]],
+    settled: Optional[Callable[[], Optional[float]]] = None,
 ) -> "RunTrace":
     """Run K per-sample steps of an online variant: the loop both share.
 
@@ -313,6 +361,26 @@ def run_online(
     together. Each comparison is a new array whose rows are passed on
     as uint8 views, so a row already handed out never changes.
 
+    Settled stretches. settled(), when given, returns a value v such
+    that, after an elite step of value v, every further step of value
+    v is elite and leaves the rule's state and state() as they are;
+    None when there is no such value now. A run is settled at a new
+    block when three things hold: the last step was elite, at row x;
+    settled() returns v; and every component with x_i = 1 is a fixed
+    point of the update, p*keep + alpha1 == p (1.0, or a value just
+    below it where the step rounds away). Then the block's leading
+    rows are handled as one stretch (_settled_stretch): its parameter
+    rows come from one np.multiply.accumulate over the x_i = 0
+    components, and a row is taken only while it draws x against its
+    own parameters and fn, still called once on it, returns v. Each
+    taken row is thus checked to be the step the loop would make, so
+    the stretch is exact; the rest of the block goes through the loop,
+    starting with the row that broke it, whose value is not asked
+    twice. The recorder takes the stretch with one updates_applied
+    call; is_elite and offer_best are not called for it (v is not a
+    new best). The window engine passes its settled-value test; the
+    memoryless rule, whose threshold moves on every step, passes none.
+
     config is an OnlineConfig or a MemorylessConfig; eps_conv set stops
     the run early on 0/1 absorption.
     """
@@ -331,41 +399,54 @@ def run_online(
     toward = np.array([0.0, alpha1]).take
     eps = config.eps_conv
     block_rows = max(1, _DRAW_BLOCK_VALUES // n)
-    u = bits_from = None  # the block's uniforms; bits of rows first.. of u
-    r = rows = first = 0  # next row of u, rows in u
     best = -math.inf
     elite = False
-    steps = 0
-    for t in range(K):
-        if r == rows:
-            rows = min(block_rows, K - t)
-            u = random((rows, n))
-            bits_from = None
-            r = 0
-        if bits_from is not None:
-            bits = bits_from[r - first]
-        elif elite:
-            bits = less(u[r], probs).view(uint8)
-        else:
-            first = r
-            bits_from = less(u[r:], probs).view(uint8)
-            bits = bits_from[0]
-        r += 1
-        value = float(fn(bits))
-        if not isfinite(value):
-            raise non_finite_value(variant, t, value)
-        if value > best:
-            best = value
-            offer_best(bits, value, t)
-        elite = is_elite(t, value)
-        if elite:
-            probs = probs * keep + toward(bits)
-            bits_from = None
-            update_applied(probs)
-        steps = t + 1
-        if steps % stride == 0:
-            gamma, delta = state()
-            maybe_snapshot(steps, gamma, delta)
-        if elite and eps is not None and is_absorbed(probs, eps):
-            break
-    return recorder.finish(steps, *state())
+    bits = None
+    t = 0
+    while t < K:
+        start = t  # the step of the block's first row
+        u = random((min(block_rows, K - t), n))
+        end = start + len(u)
+        bits_from = carried = None  # bits of rows first.. of u; a row fn has seen
+        if elite and settled is not None:
+            v = settled()
+            if v is not None:
+                params, m, carried, absorbed = _settled_stretch(
+                    u, probs, bits, keep, alpha1, eps, fn, v)
+                if m:
+                    probs = params[m]
+                    recorder.updates_applied(params[1 : m + 1], t, *state())
+                    t += m
+                    if absorbed:
+                        return recorder.finish(t, *state())
+        for t in range(t, end):
+            if carried is not None:
+                bits, value = carried
+                carried = None
+            else:
+                if bits_from is not None:
+                    bits = bits_from[t - first]
+                elif elite:
+                    bits = less(u[t - start], probs).view(uint8)
+                else:
+                    first = t
+                    bits_from = less(u[t - start :], probs).view(uint8)
+                    bits = bits_from[0]
+                value = float(fn(bits))
+            if not isfinite(value):
+                raise non_finite_value(variant, t, value)
+            if value > best:
+                best = value
+                offer_best(bits, value, t)
+            elite = is_elite(t, value)
+            if elite:
+                probs = probs * keep + toward(bits)
+                bits_from = None
+                update_applied(probs)
+            if (t + 1) % stride == 0:
+                gamma, delta = state()
+                maybe_snapshot(t + 1, gamma, delta)
+            if elite and eps is not None and is_absorbed(probs, eps):
+                return recorder.finish(t + 1, *state())
+        t = end
+    return recorder.finish(K, *state())

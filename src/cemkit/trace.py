@@ -267,6 +267,35 @@ class TraceRecorder:
         if rows == self._log_rows:
             self._fold()
 
+    def updates_applied(
+        self, params: np.ndarray, step: int, gamma: Optional[float], delta: Optional[float]
+    ) -> None:
+        """Record the m rows of params as m updates of one elite sample
+        each, made at steps step+1 .. step+m, with the snapshot of each
+        stride step among them taken at gamma and delta: the same record
+        as update_applied(row) and maybe_snapshot(step, gamma, delta) for
+        every row in turn, written a log-block slice at a time.
+        """
+        best = None if self.best is None else self.best.value
+        stride, i, m = self.stride, 0, len(params)
+        while i < m:
+            # Fill the log block at most, and take at most as many
+            # snapshots as the pending block has room for.
+            r, done, room = self._rows, step + i, self._log_rows - len(self._pending)
+            c = min(m - i, self._log_rows - r, (done // stride + room) * stride - done)
+            self._log[r + 1 : r + 1 + c] = params[i : i + c]
+            updates, elites = self.update_count - done, self.elite_decisions - done
+            self._pending.extend(
+                (s, gamma, delta, best, updates + s, elites + s, r - done + s)
+                for s in range((done // stride + 1) * stride, done + c + 1, stride)
+            )
+            self._rows = r + c
+            self.update_count += c
+            self.elite_decisions += c
+            i += c
+            if self._rows == self._log_rows or len(self._pending) == self._log_rows:
+                self._fold()
+
     def _fold(self) -> None:
         """Count the sign changes of the logged updates and write the
         pending snapshots into the table, then start a new block."""

@@ -90,6 +90,19 @@ class SampleWindow:
             insort(ranked, value)
             del ranked[bisect_left(ranked, oldest)]
 
+    def settled_value(self) -> Optional[float]:
+        """The value v the full buffer holds in every slot, bit for bit,
+        when v is nonzero; None otherwise.
+
+        Equal nonzero floats have identical bits. Pushing v then changes
+        neither the deque nor the sorted list, and v is every rank
+        statistic, so a sample of value v is elite with threshold v.
+        """
+        ranked = self._sorted_values
+        if len(ranked) == self.capacity and ranked[0] == ranked[-1] and ranked[0]:
+            return ranked[0]
+        return None
+
     def threshold(self, rho: float) -> float:
         """ceil(rho*N)-th largest value currently in the buffer."""
         m = len(self._sorted_values)
@@ -138,8 +151,11 @@ def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> R
 
     The shared online loop (model.run_online) with the window's elite
     rule: window_step, inlined as one push and, after warm-up, one
-    threshold per sample. A non-finite objective value raises
-    DomainError naming its draw.
+    threshold per sample. The window's settled_value is the loop's
+    settled test: once the buffer holds N copies of one nonzero value,
+    the loop may finish the samples that repeat it in bulk, without
+    calling this rule, which they would leave unchanged. A non-finite
+    objective value raises DomainError naming its draw.
     """
     window = SampleWindow(config.N)
     push, threshold = window.push, window.threshold
@@ -156,4 +172,7 @@ def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> R
         gamma = threshold(rho)
         return value >= gamma
 
-    return run_online("window", config, obj, rng, TraceRecorder, is_elite, lambda: (gamma, None))
+    return run_online(
+        "window", config, obj, rng, TraceRecorder, is_elite, lambda: (gamma, None),
+        window.settled_value,
+    )

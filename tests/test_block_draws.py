@@ -76,6 +76,8 @@ def memoryless(**kw):
 # K = 999 is a multiple of none of the block sizes tried.
 CASES = {
     "window": window(),
+    # Settled on one row early: most draw blocks are finished in stretches.
+    "window_settled": window(alpha=0.9),
     "window_stride1": window(snapshot_stride=1),
     "window_stride7": window(snapshot_stride=7),
     "window_warm_up_only": window(N=50, K=30),
@@ -156,14 +158,26 @@ def counted(obj):
     return Objective(obj.name, obj.n, fn, batch_fn, obj.optimal_bits, obj.optimal_value), calls
 
 
-@pytest.mark.parametrize("case", ["window", "memoryless_gauss", "window_eps", "memoryless_eps"])
-def test_fn_called_once_per_step(case):
+@pytest.mark.parametrize(
+    "case", ["window", "memoryless_gauss", "window_eps", "memoryless_eps", "window_settled"]
+)
+def test_fn_called_once_per_step(monkeypatch, case):
     (engine, cfg), seed = EPS_CASES[case] if case in EPS_CASES else (CASES[case], 3)
+    stretch_rows = []
+    updates_applied = TraceRecorder.updates_applied
+
+    def spy(self, params, step, gamma, delta):
+        stretch_rows.append(len(params))
+        updates_applied(self, params, step, gamma, delta)
+
+    monkeypatch.setattr(TraceRecorder, "updates_applied", spy)
     obj, calls = counted(TRAP)
     run = engine(cfg, obj, RngStream(seed))
     assert len(calls) == run.steps
     if case in EPS_CASES:
         assert run.steps < cfg.K
+    if case == "window_settled":
+        assert sum(stretch_rows) > run.steps // 2
 
 
 def nan_at(draw, n=10):

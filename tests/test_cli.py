@@ -96,6 +96,18 @@ class TestRun:
         assert len(out.splitlines()) == 2 + 3
 
 
+    @pytest.mark.parametrize("command", ["run", "config-dump"])
+    @pytest.mark.parametrize("variant", ["batch", "window", "memoryless"])
+    def test_step_that_underflows(self, capsys, tmp_path, variant, command):
+        # The online step alpha/ceil(rho*N) rounds to 0.0. parse_config
+        # builds the window config of every config, so batch fails too.
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({**CFG, "variant": variant, "alpha": 5e-324}))
+        code, out, err = _run(capsys, [command, "--config", str(p)])
+        assert (code, out) == (2, "")
+        assert err.startswith("config error: alpha: per-update step alpha1 underflows to 0.0")
+
+
 class TestFailureModes:
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = _run(capsys, ["run", "--config", str(tmp_path / "no.json")])

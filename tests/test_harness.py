@@ -96,14 +96,16 @@ def _problems(draw):
 
 @st.composite
 def _configs(draw):
-    """Valid ExperimentConfigs of every variant (memoryless needs N*rho > 1)."""
+    """Valid ExperimentConfigs of every variant (memoryless needs N*rho > 1,
+    and the online step alpha/ceil(rho*N) must not underflow to 0.0)."""
     estimator = draw(st.sampled_from(ESTIMATORS))
+    N, rho = draw(st.integers(20, 500)), draw(_finite(0.06, 0.95))
     return ExperimentConfig(
         problem=draw(_problems()),
         variant=draw(st.sampled_from(["batch", "window", "memoryless"])),
-        N=draw(st.integers(20, 500)),
-        rho=draw(_finite(0.06, 0.95)),
-        alpha=draw(_finite(0.0, 1.0, exclude_min=True)),
+        N=N,
+        rho=rho,
+        alpha=draw(_finite(0.0, 1.0, exclude_min=True).filter(lambda a: a / elite_count(N, rho) > 0.0)),
         T=draw(st.integers(1, 1000)),
         K=draw(st.integers(1, 100_000)),
         replicates=draw(st.integers(1, 1000)),
@@ -455,6 +457,43 @@ class TestCompareVariants:
         for r in rows:
             assert r.hits >= 90, (r.variant, r.hits)
             assert r.mean_first_hit is not None
+
+
+# The smallest positive float. The online step alpha/ceil(rho*N)
+# underflows to 0.0 for it; the batch step is alpha itself.
+TINY_ALPHA = 5e-324
+
+
+class TestUnderflowingStep:
+    def test_engine_configs_share_the_check(self):
+        common = dict(N=20, rho=0.1, alpha=TINY_ALPHA)
+        for cls in (OnlineConfig, MemorylessConfig):
+            with pytest.raises(ConfigError, match="^alpha: per-update step alpha1 underflows"):
+                cls(**common, K=5)
+            # Twice the smallest float halves to the smallest float.
+            assert cls(**{**common, "alpha": 2 * TINY_ALPHA}, K=5).alpha1 == TINY_ALPHA
+        assert BatchConfig(**common, T=5).alpha1 == TINY_ALPHA
+
+    @pytest.mark.parametrize("variant", ["batch", "window", "memoryless"])
+    @pytest.mark.parametrize("entry", ["run_experiment", "alpha_sweep", "compare_variants"])
+    def test_online_step_rejected_before_any_replicate(self, monkeypatch, variant, entry):
+        cfg = _fast(variant=variant, alpha=TINY_ALPHA, replicates=2)
+        call = {
+            "run_experiment": lambda: run_experiment(cfg),
+            "alpha_sweep": lambda: alpha_sweep(cfg, alphas=(0.5, TINY_ALPHA)),
+            "compare_variants": lambda: compare_variants(cfg),
+        }[entry]
+        if variant == "batch" and entry != "compare_variants":
+            # The parameters never move, so every replicate runs to T.
+            rows = call()
+            if entry == "run_experiment":
+                assert [r.steps for r in rows] == [cfg.T * cfg.N] * 2
+            else:
+                assert [(r.alpha, r.replicates) for r in rows] == [(0.5, 2), (TINY_ALPHA, 2)]
+            return
+        monkeypatch.setattr(harness, "_run_one", _no_runs)
+        with pytest.raises(ConfigError, match="^alpha: per-update step alpha1 underflows"):
+            call()
 
 
 class TestSerialization:

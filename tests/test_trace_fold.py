@@ -135,9 +135,9 @@ def outcome(run):
     )
 
 
-def recorders(n, stride, optimal_value=2.0):
+def recorders(n, stride, optimal_value=2.0, cls=TraceRecorder):
     p0 = np.full(n, 0.5)
-    rec = TraceRecorder(
+    rec = cls(
         variant="test", params0=BernoulliParams(p0), rho=0.1, alpha=0.5, alpha1=0.5,
         snapshot_stride=stride, optimal_value=optimal_value,
     )
@@ -283,6 +283,98 @@ def test_long_run_holds_at_most_one_block(monkeypatch):
     assert run.update_count > 2 * block and len(run.snapshots) > 2 * block
     assert seen["rows"] == block and seen["pending"] <= block
     assert seen["folds"] >= run.update_count // block
+
+
+# The bulk form: updates_applied records a stretch of single-elite
+# updates, one step each, with the stride snapshots among them.
+
+class FoldWatch(TraceRecorder):
+    """Notes (log rows, pending snapshots) at each fold inside updates_applied."""
+
+    def __init__(self, *args, **kwargs):
+        self.folds, self.in_bulk = [], False
+        TraceRecorder.__init__(self, *args, **kwargs)
+
+    def updates_applied(self, params, step, gamma, delta):
+        self.in_bulk = True
+        TraceRecorder.updates_applied(self, params, step, gamma, delta)
+        self.in_bulk = False
+
+    def _fold(self):
+        if self.in_bulk:
+            self.folds.append((self._rows, len(self._pending)))
+        TraceRecorder._fold(self)
+
+
+def stretch_rows(rng, length, n):
+    """length parameter rows; about one in five repeats the row before it."""
+    params = rng.random((length, n))
+    for i in range(1, length):
+        if rng.random() < 0.2:
+            params[i] = params[i - 1]
+    return params
+
+
+def record_stretches(mp, log_rows, stride, before, lengths, seed, n=4):
+    """Feed the events `before`, then per length a stretch of that many
+    rows and three random events: the stretches to one recorder through
+    updates_applied, and to a second one and the reference a row at a
+    time. All three must agree at the end; returns the first's folds."""
+    set_log_rows(mp, log_rows, n)
+    bulk, ref = recorders(n, stride, cls=FoldWatch)
+    calls, _ = recorders(n, stride)
+    rng = np.random.default_rng(seed)
+    feed((bulk, calls, ref), before)
+    step = len(before)
+    for length in lengths:
+        params, gamma = stretch_rows(rng, length, n), 0.5 * step
+        bulk.updates_applied(params, step, gamma, None)
+        for s, row in enumerate(params, step + 1):
+            for rec in (calls, ref):
+                rec.update_applied(row)
+                rec.maybe_snapshot(s, gamma, None)
+        step += length
+        feed((bulk, calls, ref), random_events(n, 3, seed + step), first_step=step + 1)
+        step += 3
+    want = ref.finish(step, 1.5, None)
+    assert outcome(bulk.finish(step, 1.5, None)) == want
+    assert outcome(calls.finish(step, 1.5, None)) == want
+    return bulk.folds
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    log_rows=st.sampled_from(LOG_ROWS),
+    stride=st.sampled_from([1, 3, 7, 20]),
+    before=st.integers(0, 45),
+    lengths=st.lists(st.integers(0, 80), min_size=1, max_size=3),
+    seed=st.integers(0, 30),
+)
+def test_bulk_updates_match_per_call_recording(log_rows, stride, before, lengths, seed):
+    with pytest.MonkeyPatch.context() as mp:
+        folds = record_stretches(mp, log_rows, stride, random_events(4, before, seed), lengths, seed)
+    # Neither the log nor the pending snapshots ever hold more than a block.
+    block = DEFAULT_LOG_VALUES // 4 if log_rows is None else log_rows
+    assert all(rows <= block and pending <= block for rows, pending in folds)
+
+
+@pytest.mark.parametrize("stride, before, full", [
+    (7, 14, "log"),  # starts on a stride step
+    (7, 9, "log"),  # starts between stride steps
+    (1, 1, "pending"),
+    (3, 4, "pending"),
+])
+def test_bulk_updates_fold_full_blocks(monkeypatch, stride, before, full):
+    # Steps without updates leave snapshots pending; a ten-row stretch
+    # then fills the three-row log block, or fills the pending block
+    # first, and folds inside updates_applied.
+    quiet = [(None, None, float(step), None) for step in range(1, before + 1)]
+    folds = record_stretches(monkeypatch, 3, stride, quiet, [10], seed=1)
+    assert folds and all(rows <= 3 and pending <= 3 for rows, pending in folds)
+    if full == "log":
+        assert any(rows == 3 for rows, _ in folds)
+    else:
+        assert any(pending == 3 and rows < 3 for rows, pending in folds)
 
 
 # Engine-level oracle: each engine against a replay of its pure functions.
@@ -469,17 +561,163 @@ def test_window_on_signed_zeros_matches_replay(stride):
         assert {"0.0", "-0.0"} <= set(gammas)
 
 
-@pytest.mark.parametrize("variant", ["batch", "window", "memoryless"])
+# Settled window runs: once the window holds N copies of one nonzero
+# value and the last elite row's ones sit at fixed points, run_online
+# finishes draw blocks in stretches (TraceRecorder.updates_applied).
+
+TRAP_5_10 = make_objective(ProblemSpec(kind="trap_k", n=10, k=5))
+
+
+def watch_window(mp):
+    """(step, rows) of every updates_applied call, and a one-item list
+    counting SampleWindow.threshold calls, for window runs started after."""
+    stretches, thresholds = [], [0]
+    updates_applied = TraceRecorder.updates_applied
+
+    def spy(self, params, step, gamma, delta):
+        stretches.append((step, len(params)))
+        updates_applied(self, params, step, gamma, delta)
+
+    class CountingWindow(SampleWindow):
+        def threshold(self, rho):
+            thresholds[0] += 1
+            return SampleWindow.threshold(self, rho)
+
+    mp.setattr(TraceRecorder, "updates_applied", spy)
+    mp.setattr(window_module, "SampleWindow", CountingWindow)
+    return stretches, thresholds
+
+
+def ends_at(stretches, step):
+    """True if a stretch ended right before `step`."""
+    return any(first + rows == step for first, rows in stretches)
+
+
+# Seed 0 settles on the all-zero row, seed 3 on a row whose ones stall at
+# 1 - 5 * 2^-53.
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("stride", [None, 1])
+def test_settled_window_matches_replay(monkeypatch, stride, seed):
+    cfg = OnlineConfig(N=100, rho=0.1, alpha=0.9, K=5000, snapshot_stride=stride)
+    stretches, thresholds = watch_window(monkeypatch)
+    run = run_online_window(cfg, TRAP_5_10, RngStream(seed))
+    assert outcome(run) == replay_window(cfg, TRAP_5_10, RngStream(seed))
+    # Every post-warm-up step is a threshold call or a stretch row, and
+    # most of them are stretch rows.
+    bulk = sum(rows for _, rows in stretches)
+    assert thresholds[0] + bulk == cfg.K - cfg.N and thresholds[0] < bulk // 5
+    high = run.final_params.probs[run.final_params.probs > 0.5]
+    assert high.size == (5 if seed == 3 else 0) and np.all(high == 1.0 - 5 * 2.0**-53)
+
+
+def test_settled_window_below_one_matches_replay(monkeypatch):
+    # A maxcut_20 shaped like the CLI benchmark's: at alpha1 = 0.07 the
+    # ones stall at 1 - 7 * 2^-53, a fixed point below 1.
+    pairs = [(i, j) for i in range(20) for j in range(i + 1, 20)]
+    edges = [pairs[k] for k in np.random.default_rng(20).choice(len(pairs), 60, replace=False)]
+    obj = make_objective(ProblemSpec(kind="maxcut", n=20, edges=tuple(sorted(edges))))
+    cfg = OnlineConfig(N=100, rho=0.1, alpha=0.7, K=3000, snapshot_stride=1)
+    stretches, thresholds = watch_window(monkeypatch)
+    run = run_online_window(cfg, obj, RngStream(1))
+    assert outcome(run) == replay_window(cfg, obj, RngStream(1))
+    assert sum(rows for _, rows in stretches) > (cfg.K - cfg.N) // 2
+    high = run.final_params.probs[run.final_params.probs > 0.5]
+    assert high.size and np.all(high == 1.0 - 7 * 2.0**-53)
+
+
+def test_eps_conv_stop_inside_a_stretch(monkeypatch):
+    # The zeros fall below eps = 1e-60 in the middle of a draw block.
+    cfg = OnlineConfig(N=100, rho=0.1, alpha=0.9, K=5000, eps_conv=1e-60)
+    stretches, _ = watch_window(monkeypatch)
+    run = run_online_window(cfg, TRAP_5_10, RngStream(0))
+    assert outcome(run) == replay_window(cfg, TRAP_5_10, RngStream(0))
+    draw_rows = model_module._DRAW_BLOCK_VALUES // TRAP_5_10.n
+    assert run.steps < cfg.K and (run.steps - cfg.N) % draw_rows
+    assert ends_at(stretches, run.steps)
+
+
+class PatchedStream(RngStream):
+    """RngStream with the uniforms at given positions of its flat
+    sequence replaced, however the draws are blocked."""
+
+    def __init__(self, seed, patches):
+        super().__init__(seed)
+        self.patches, self.drawn = patches, 0
+
+    def random(self, size=None):
+        u = super().random(size)
+        flat = u.reshape(-1)
+        for at, value in self.patches.items():
+            if 0 <= at - self.drawn < flat.size:
+                flat[at - self.drawn] = value
+        self.drawn += flat.size
+        return u
+
+
+# Scores only its first five bits, as trap_k with n = k = 5.
+TRAP_5 = make_objective(ProblemSpec(kind="trap_k", n=5, k=5))
+BLIND_5_10 = Objective(name="blind_5_10", n=10, fn=lambda bits: TRAP_5.fn(bits[:5]))
+
+
+# trap_5_10's seed-3 run is settled at x = 1111100000 from step 714 on,
+# and step 1774 is row 40 of a stretch. The largest float below 1 draws
+# a 0 at a one stalled below 1; 0.0 draws a 1 at a zero still above 0.
+# blind_5_10's seed-1 run is settled at x = 0000001111 there, and a 1 at
+# bit 5 leaves the value as it was: only the draw check sees that row.
+@pytest.mark.parametrize("obj, seed, component, u", [
+    (TRAP_5_10, 3, 2, np.nextafter(1.0, 0.0)),
+    (TRAP_5_10, 3, 7, 0.0),
+    (BLIND_5_10, 1, 5, 0.0),
+], ids=["high", "low", "same_value"])
+def test_patched_uniform_breaks_a_stretch(monkeypatch, obj, seed, component, u):
+    cfg = OnlineConfig(N=100, rho=0.1, alpha=0.9, K=5000)
+    at = 1774
+    patches = {at * obj.n + component: u}
+    stretches, _ = watch_window(monkeypatch)
+    run = run_online_window(cfg, obj, PatchedStream(seed, patches))
+    assert outcome(run) == replay_window(cfg, obj, PatchedStream(seed, patches))
+    assert ends_at(stretches, at) and any(first > at for first, _ in stretches)
+
+
+def flaky(obj, at):
+    """obj whose fn answers one less on its call for step `at`; and the calls."""
+    calls = []
+
+    def fn(bits):
+        calls.append(1)
+        return obj.fn(bits) - (len(calls) == at + 1)
+
+    return Objective("flaky", obj.n, fn, None, obj.optimal_bits, obj.optimal_value), calls
+
+
+def test_objective_changing_inside_a_stretch(monkeypatch):
+    # The step at 1774 lies inside a stretch. Its changed value ends the
+    # stretch there, and the loop takes that row without a second call.
+    cfg = OnlineConfig(N=100, rho=0.1, alpha=0.9, K=5000)
+    at = 1774
+    stretches, _ = watch_window(monkeypatch)
+    obj, calls = flaky(TRAP_5_10, at)
+    run = run_online_window(cfg, obj, RngStream(3))
+    assert len(calls) == run.steps == cfg.K
+    assert outcome(run) == replay_window(cfg, flaky(TRAP_5_10, at)[0], RngStream(3))
+    assert ends_at(stretches, at) and any(first > at for first, _ in stretches)
+
+
+@pytest.mark.parametrize("variant", ["batch", "window", "memoryless", "window_settled"])
 def test_engines_build_their_module_recorder_and_window(monkeypatch, variant):
     # A run takes TraceRecorder (and the window engine SampleWindow) from
     # its engine module's namespace at call time, so a stand-in bound
     # there sees every event of the run; timing tools rely on it.
-    calls = {"finish": 0, "updates": 0, "threshold": 0}
+    calls = {"finish": 0, "updates": 0, "bulk": 0, "threshold": 0}
 
     class CountingRecorder(TraceRecorder):
         def update_applied(self, new_params, elites=1):
             calls["updates"] += 1
             TraceRecorder.update_applied(self, new_params, elites)
+
+        def updates_applied(self, params, step, gamma, delta):
+            calls["bulk"] += len(params)
+            TraceRecorder.updates_applied(self, params, step, gamma, delta)
 
         def finish(self, steps, gamma, delta):
             calls["finish"] += 1
@@ -490,7 +728,8 @@ def test_engines_build_their_module_recorder_and_window(monkeypatch, variant):
             calls["threshold"] += 1
             return SampleWindow.threshold(self, rho)
 
-    engine_module = {"batch": batch, "window": window_module, "memoryless": memoryless}[variant]
+    engine = variant.removesuffix("_settled")
+    engine_module = {"batch": batch, "window": window_module, "memoryless": memoryless}[engine]
     monkeypatch.setattr(engine_module, "TraceRecorder", CountingRecorder)
     monkeypatch.setattr(window_module, "SampleWindow", CountingWindow)
     N, K = 20, 150
@@ -498,8 +737,12 @@ def test_engines_build_their_module_recorder_and_window(monkeypatch, variant):
         "batch": BatchConfig(N=N, rho=0.1, alpha=0.5, T=5),
         "window": OnlineConfig(N=N, rho=0.1, alpha=0.5, K=K),
         "memoryless": MemorylessConfig(N=N, rho=0.1, alpha=0.5, K=K),
+        # Long enough to settle on the all-ones row: most steps are stretch rows.
+        "window_settled": OnlineConfig(N=N, rho=0.1, alpha=0.5, K=1000),
     }[variant]
-    run = ENGINES[variant][0](cfg, OBJECTIVES["onemax"], RngStream(3))
+    run = ENGINES[engine][0](cfg, OBJECTIVES["onemax"], RngStream(3))
     assert calls["finish"] == 1
-    assert calls["updates"] == run.update_count > 0
-    assert calls["threshold"] == (K - N if variant == "window" else 0)
+    assert calls["updates"] + calls["bulk"] == run.update_count > 0
+    # Each post-warm-up window step is a threshold call or a stretch row.
+    assert calls["threshold"] + calls["bulk"] == (cfg.K - N if engine == "window" else 0)
+    assert (calls["bulk"] > run.steps // 2) == (variant == "window_settled")

@@ -100,6 +100,32 @@ class TestSampleWindow:
             assert bits(pushed._sorted_values) == bits(twin._sorted_values)
             assert pushed.threshold(rho) == pushed.threshold_resort(rho)
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        capacity=st.integers(1, 6),
+        stream=st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5]), max_size=30),
+    )
+    def test_settled_value(self, capacity, stream):
+        # The value of a full buffer whose slots all hold the same nonzero
+        # bits, else None. Pushing that value again leaves both buffers
+        # as they are, and it is every rank statistic.
+        def bits(values):
+            return [struct.pack("d", v) for v in values]
+
+        window = SampleWindow(capacity)
+        for v in stream:
+            window.push(v)
+            full_of_v = len(window) == capacity and set(bits(window._values)) == set(bits([v]))
+            settled = window.settled_value()
+            if not (full_of_v and v != 0.0):
+                assert settled is None
+                continue
+            assert bits([settled]) == bits([v])
+            before = bits(window._values), bits(window._sorted_values)
+            window.push(v)
+            assert (bits(window._values), bits(window._sorted_values)) == before
+            assert all(window.threshold(rho) == v for rho in (0.1, 0.5, 0.9))
+
 
 class TestWindowStep:
     def test_warm_up_is_silent(self):
