@@ -253,15 +253,18 @@ def parse_config(data: Dict) -> ExperimentConfig:
     record and a silently ignored typo would poison it. The objective
     (cached for the run) and the selected variant's engine config are
     built here so their constraint violations surface at parse time.
-    So are the batch and window configs: their checks then cover T, K,
-    snapshot_stride and the online step alpha/ceil(rho*N) whichever
-    variant reads them, so a config with a subnormal alpha whose online
-    step underflows fails here even for the batch variant.
+    So are the batch and window configs, which have no cross-field
+    rule: their range checks then cover T, K and snapshot_stride
+    whichever variant reads them. They are built at alpha 1, because
+    the step alpha1 is the running variant's own: a subnormal alpha
+    underflows the online step alpha/ceil(rho*N) but is batch's step
+    as it is, so batch accepts it.
     """
     cfg = _build(ExperimentConfig, data, "config")
     _cached_objective(cfg.problem)
-    for variant in dict.fromkeys(("batch", "window", cfg.variant)):
-        _variant_config(cfg, variant)
+    _variant_config(cfg)
+    for variant in ("batch", "window"):
+        _variant_config(replace(cfg, alpha=1.0), variant)
     return cfg
 
 

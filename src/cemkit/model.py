@@ -32,6 +32,7 @@ __all__ = [
     "RunSettings",
     "OnlineConfig",
     "non_finite_value",
+    "bulk_covers",
     "run_online",
     "negated",
 ]
@@ -329,6 +330,23 @@ def _settled_stretch(u, probs, x, keep, alpha1, eps, fn, v):
     return params, m, None, absorbed
 
 
+def bulk_covers(cls: type, bulk: str, per_step: Tuple[str, ...]) -> bool:
+    """Whether cls's method `bulk` stands in for its per-step methods.
+
+    It does when the class that defines `bulk` (the first in cls's MRO)
+    is the class, or a subclass of the class, that defines each of
+    per_step. A subclass that overrides a per-step method, to count or
+    time its calls say, and leaves `bulk` as it is gets every per-step
+    call: the bulk path, which skips them, is off for it.
+    """
+
+    def owner(name: str) -> type:
+        return next(c for c in cls.__mro__ if name in vars(c))
+
+    home = owner(bulk)
+    return all(issubclass(home, owner(name)) for name in per_step)
+
+
 def run_online(
     variant: str,
     config: OnlineConfig,
@@ -380,11 +398,16 @@ def run_online(
     call; is_elite and offer_best are not called for it (v is not a
     new best). The window engine passes its settled-value test; the
     memoryless rule, whose threshold moves on every step, passes none.
+    A recorder_class that overrides update_applied or maybe_snapshot
+    and not updates_applied takes no stretch (bulk_covers), so that
+    it still sees one call per update and per stride step.
 
     config is an OnlineConfig or a MemorylessConfig; eps_conv set stops
     the run early on 0/1 absorption.
     """
     recorder = config.start(variant, obj, recorder_class)
+    if not bulk_covers(recorder_class, "updates_applied", ("update_applied", "maybe_snapshot")):
+        settled = None
     alpha1, stride, K = config.alpha1, config.stride, config.K
     offer_best, update_applied = recorder.offer_best, recorder.update_applied
     maybe_snapshot = recorder.maybe_snapshot

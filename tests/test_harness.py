@@ -97,15 +97,20 @@ def _problems(draw):
 @st.composite
 def _configs(draw):
     """Valid ExperimentConfigs of every variant (memoryless needs N*rho > 1,
-    and the online step alpha/ceil(rho*N) must not underflow to 0.0)."""
+    and an online variant's step alpha/ceil(rho*N) must not underflow
+    to 0.0)."""
     estimator = draw(st.sampled_from(ESTIMATORS))
+    variant = draw(st.sampled_from(["batch", "window", "memoryless"]))
     N, rho = draw(st.integers(20, 500)), draw(_finite(0.06, 0.95))
+    alphas = _finite(0.0, 1.0, exclude_min=True)
+    if variant != "batch":
+        alphas = alphas.filter(lambda a: a / elite_count(N, rho) > 0.0)
     return ExperimentConfig(
         problem=draw(_problems()),
-        variant=draw(st.sampled_from(["batch", "window", "memoryless"])),
+        variant=variant,
         N=N,
         rho=rho,
-        alpha=draw(_finite(0.0, 1.0, exclude_min=True).filter(lambda a: a / elite_count(N, rho) > 0.0)),
+        alpha=draw(alphas),
         T=draw(st.integers(1, 1000)),
         K=draw(st.integers(1, 100_000)),
         replicates=draw(st.integers(1, 1000)),
@@ -473,6 +478,17 @@ class TestUnderflowingStep:
             # Twice the smallest float halves to the smallest float.
             assert cls(**{**common, "alpha": 2 * TINY_ALPHA}, K=5).alpha1 == TINY_ALPHA
         assert BatchConfig(**common, T=5).alpha1 == TINY_ALPHA
+
+    @pytest.mark.parametrize("variant", ["batch", "window", "memoryless"])
+    def test_parse_config_agrees_with_the_engines(self, variant):
+        # parse_config checks the step of the variant that runs, as
+        # run_experiment does: batch takes the config, the online ones don't.
+        data = config_to_dict(_fast(variant=variant, alpha=TINY_ALPHA))
+        if variant == "batch":
+            assert parse_config(data).alpha == TINY_ALPHA
+            return
+        with pytest.raises(ConfigError, match="^alpha: per-update step alpha1 underflows"):
+            parse_config(data)
 
     @pytest.mark.parametrize("variant", ["batch", "window", "memoryless"])
     @pytest.mark.parametrize("entry", ["run_experiment", "alpha_sweep", "compare_variants"])

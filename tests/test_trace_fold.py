@@ -583,6 +583,10 @@ def watch_window(mp):
             thresholds[0] += 1
             return SampleWindow.threshold(self, rho)
 
+        # Overridden with threshold, so that stretches stay on.
+        def settled_value(self):
+            return SampleWindow.settled_value(self)
+
     mp.setattr(TraceRecorder, "updates_applied", spy)
     mp.setattr(window_module, "SampleWindow", CountingWindow)
     return stretches, thresholds
@@ -707,7 +711,8 @@ def test_objective_changing_inside_a_stretch(monkeypatch):
 def test_engines_build_their_module_recorder_and_window(monkeypatch, variant):
     # A run takes TraceRecorder (and the window engine SampleWindow) from
     # its engine module's namespace at call time, so a stand-in bound
-    # there sees every event of the run; timing tools rely on it.
+    # there sees every event of the run; timing tools rely on it. These
+    # stand-ins override the bulk hooks too, so stretches stay on.
     calls = {"finish": 0, "updates": 0, "bulk": 0, "threshold": 0}
 
     class CountingRecorder(TraceRecorder):
@@ -728,6 +733,9 @@ def test_engines_build_their_module_recorder_and_window(monkeypatch, variant):
             calls["threshold"] += 1
             return SampleWindow.threshold(self, rho)
 
+        def settled_value(self):
+            return SampleWindow.settled_value(self)
+
     engine = variant.removesuffix("_settled")
     engine_module = {"batch": batch, "window": window_module, "memoryless": memoryless}[engine]
     monkeypatch.setattr(engine_module, "TraceRecorder", CountingRecorder)
@@ -746,3 +754,58 @@ def test_engines_build_their_module_recorder_and_window(monkeypatch, variant):
     # Each post-warm-up window step is a threshold call or a stretch row.
     assert calls["threshold"] + calls["bulk"] == (cfg.K - N if engine == "window" else 0)
     assert (calls["bulk"] > run.steps // 2) == (variant == "window_settled")
+
+
+@pytest.mark.parametrize("stand_in", ["recorder", "window"])
+def test_per_step_stand_in_takes_no_stretch(monkeypatch, stand_in):
+    # A stand-in that overrides per-step hooks and not their bulk form,
+    # as a timing tool's may, sees one call per update and per decision:
+    # the run takes no stretch, and its outcome is the same.
+    cfg = OnlineConfig(N=100, rho=0.1, alpha=0.9, K=5000)
+    plain = run_online_window(cfg, TRAP_5_10, RngStream(3))
+    calls = {"updates": 0, "threshold": 0, "bulk": 0}
+    updates_applied = TraceRecorder.updates_applied
+
+    def spy(self, params, step, gamma, delta):
+        calls["bulk"] += len(params)
+        updates_applied(self, params, step, gamma, delta)
+
+    class CountingRecorder(TraceRecorder):
+        def update_applied(self, new_params, elites=1):
+            calls["updates"] += 1
+            TraceRecorder.update_applied(self, new_params, elites)
+
+    class CountingWindow(SampleWindow):
+        def threshold(self, rho):
+            calls["threshold"] += 1
+            return SampleWindow.threshold(self, rho)
+
+    monkeypatch.setattr(TraceRecorder, "updates_applied", spy)
+    if stand_in == "recorder":
+        monkeypatch.setattr(window_module, "TraceRecorder", CountingRecorder)
+    else:
+        monkeypatch.setattr(window_module, "SampleWindow", CountingWindow)
+    run = run_online_window(cfg, TRAP_5_10, RngStream(3))
+    assert outcome(run) == outcome(plain)
+    assert calls["bulk"] == 0
+    if stand_in == "recorder":
+        assert calls["updates"] == run.update_count > (cfg.K - cfg.N) // 2
+    else:
+        assert calls["threshold"] == cfg.K - cfg.N
+
+
+def test_bulk_covers():
+    class Base:
+        def bulk(self): ...
+        def step(self): ...
+
+    class Step(Base):
+        def step(self): ...
+
+    class Both(Step):
+        def bulk(self): ...
+
+    class Below(Both): ...
+
+    for cls, covered in ((Base, True), (Step, False), (Both, True), (Below, True)):
+        assert model_module.bulk_covers(cls, "bulk", ("step",)) is covered
