@@ -20,9 +20,9 @@ from .model import (
     Objective,
     RngStream,
     RunSettings,
+    check_finite,
     elite_count,
     is_absorbed,
-    non_finite_value,
 )
 from .trace import RunTrace, TraceRecorder
 
@@ -128,10 +128,7 @@ def batch_generation(
     n_b = elite_count(N, rho)
     bits = (rng.random((N, obj.n)) < params.probs).astype(np.uint8)
     values = obj.evaluate_many(bits)
-    finite = np.isfinite(values)
-    if not finite.all():
-        i = int(finite.argmin())
-        raise non_finite_value("batch", draw_base + i, float(values[i]))
+    check_finite("batch", values, draw_base)
     order = np.lexsort((np.arange(N), -values))
     gamma = float(values[order[n_b - 1]])
     new_params = batch_update(bits[order[:n_b]], params, alpha, n_b)

@@ -13,15 +13,16 @@ Three closed-form quantities and one report builder:
 
 A report over a finished trace checks every snapshot against the
 envelope (violations indicate a broken update rule, zero is the only
-acceptable count), locates 0/1 absorption, and carries the sign-change
-counts accumulated by the recorder.
+acceptable count), locates 0/1 absorption, and decides whether the run
+generated the known optimum. Everything else a run did (its final
+parameters, first hit and sign changes) stays on the RunTrace.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -102,33 +103,13 @@ class ConvergenceReport:
     """What a finished run says about the two convergence claims:
     absorption to a 0/1 vector, and generating the known optimum."""
 
-    variant: str
     converged_binary: bool
     converged_step: Optional[int]
-    final_params: BernoulliParams
     optimum_known: bool
     optimum_generated: Optional[bool]
-    first_hit_step: Optional[int]
-    sign_changes: np.ndarray
     envelope_violations: int
     phi_series: Optional[List[Tuple[int, float]]]
     miss_bound: Optional[float]
-
-    def to_dict(self) -> Dict:
-        return {
-            "variant": self.variant,
-            "converged_binary": self.converged_binary,
-            "converged_step": self.converged_step,
-            "optimum_known": self.optimum_known,
-            "optimum_generated": self.optimum_generated,
-            "first_hit_step": self.first_hit_step,
-            "sign_changes": [int(c) for c in self.sign_changes],
-            "envelope_violations": self.envelope_violations,
-            "phi_series": None
-            if self.phi_series is None
-            else [[s, v] for s, v in self.phi_series],
-            "miss_bound": self.miss_bound,
-        }
 
 
 def analyze(trace: RunTrace, obj: Objective, eps_binary: float = 1e-3) -> ConvergenceReport:
@@ -190,14 +171,10 @@ def analyze(trace: RunTrace, obj: Objective, eps_binary: float = 1e-3) -> Conver
         optimum_generated = trace.first_hit_step is not None
 
     return ConvergenceReport(
-        variant=trace.variant,
         converged_binary=converged_step is not None,
         converged_step=converged_step,
-        final_params=trace.final_params,
         optimum_known=optimum_known,
         optimum_generated=optimum_generated,
-        first_hit_step=trace.first_hit_step,
-        sign_changes=trace.sign_changes.copy(),
         envelope_violations=violations,
         phi_series=phi_series,
         miss_bound=miss_bound,

@@ -22,7 +22,7 @@ from .model import (
     Objective,
     OnlineConfig,
     RngStream,
-    non_finite_value,
+    check_finite,
     run_online,
 )
 from .normal import normal_ppf
@@ -298,9 +298,7 @@ def run_threshold_stream(
     if not 0.0 < rho < 1.0:
         raise ValueError(f"rho must be in (0,1), got {rho}")
     arr = np.asarray(values, dtype=np.float64)
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        raise non_finite_value("threshold_stream", int(bad[0]), float(arr[bad[0]]))
+    check_finite("threshold_stream", arr)
     vals = arr.tolist()
     step, read = _walk(state, rho)
     n_elite = sum(map(step, range(len(vals)), vals))

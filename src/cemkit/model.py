@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -31,7 +31,7 @@ __all__ = [
     "elite_count",
     "RunSettings",
     "OnlineConfig",
-    "non_finite_value",
+    "check_finite",
     "bulk_covers",
     "run_online",
     "negated",
@@ -108,15 +108,21 @@ class Objective:
         return float(self.fn(bits))
 
     def evaluate_many(self, batch: np.ndarray) -> np.ndarray:
-        """Evaluate every row of an (m, n) bit matrix."""
+        """Evaluate every row of an (m, n) bit matrix: an (m,) vector, or
+        DimensionError naming the objective when its values have another
+        shape."""
         batch = np.asarray(batch)
         if batch.ndim != 2 or batch.shape[1] != self.n:
             raise DimensionError(
                 f"batch shape {batch.shape} incompatible with dimension {self.n}"
             )
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(batch), dtype=np.float64)
-        return np.array([self.fn(row) for row in batch], dtype=np.float64)
+        if self.batch_fn is None:
+            values = np.array([self.fn(row) for row in batch], dtype=np.float64)
+        else:
+            values = np.asarray(self.batch_fn(batch), dtype=np.float64)
+        if values.shape != (len(batch),):
+            raise DimensionError(f"{self.name}: {len(batch)} rows gave values of shape {values.shape}")
+        return values
 
 
 def negated(obj: Objective) -> Objective:
@@ -142,7 +148,6 @@ class RngStream:
         seed = int(seed)
         if seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        self.seed = seed
         self._gen = np.random.default_rng(seed)
 
     def random(self, size=None):
@@ -280,11 +285,17 @@ class OnlineConfig(RunSettings):
         return self.snapshot_stride or self.N
 
 
-def non_finite_value(variant: str, draw_index: int, value: float) -> DomainError:
-    """The error an engine raises when the objective returns NaN or an infinity."""
-    return DomainError(
-        f"{variant}: objective returned the non-finite value {value!r} at draw {draw_index}"
-    )
+def check_finite(who: str, values: Sequence[float], first: int = 0, at: str = "draw") -> None:
+    """The check for NaN and infinities in objective values: the first
+    non-finite entry i raises DomainError naming who asked (an engine, or
+    the objective a scan runs), the value, and its draw (or scanned row)
+    first + i."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise DomainError(
+            f"{who}: objective returned the non-finite value {float(values[i])!r} at {at} {first + i}"
+        )
 
 
 def _settled_stretch(u, probs, x, keep, alpha1, eps, fn, v):
@@ -398,9 +409,11 @@ def run_online(
     call; is_elite and offer_best are not called for it (v is not a
     new best). The window engine passes its settled-value test; the
     memoryless rule, whose threshold moves on every step, passes none.
-    A recorder_class that overrides update_applied or maybe_snapshot
-    and not updates_applied takes no stretch (bulk_covers), so that
-    it still sees one call per update and per stride step.
+    The recorder is the one switch: a recorder_class that overrides
+    update_applied or maybe_snapshot and not updates_applied takes no
+    stretch (bulk_covers), so that it still sees one call per update
+    and per stride step, and the run's window sees every push and
+    threshold call.
 
     config is an OnlineConfig or a MemorylessConfig; eps_conv set stops
     the run early on 0/1 absorption.
@@ -457,7 +470,7 @@ def run_online(
                     bits = bits_from[0]
                 value = float(fn(bits))
             if not isfinite(value):
-                raise non_finite_value(variant, t, value)
+                check_finite(variant, (value,), t)
             if value > best:
                 best = value
                 offer_best(bits, value, t)

@@ -15,7 +15,7 @@ from typing import Callable, Iterator, Optional, Tuple
 import numpy as np
 
 from .errors import CapacityError, ConfigError
-from .model import Objective
+from .model import Objective, check_finite
 
 __all__ = [
     "ProblemSpec",
@@ -297,12 +297,15 @@ def enumerate_optimum(obj: Objective) -> Tuple[np.ndarray, float]:
 
     Returns the lexicographically smallest maximizer and its value.
     Refuses dimensions above 24; the table stops fitting in memory and
-    the scan stops fitting in patience well before that matters.
+    the scan stops fitting in patience well before that matters. A
+    non-finite value raises DomainError naming its row, the row i being
+    the binary digits of i.
     """
     best_value = -np.inf
     best_index = 0
     for start, rows in _all_rows(obj.n, _ENUM_MAX_N, "points"):
         values = obj.evaluate_many(rows)
+        check_finite(obj.name, values, start, "row")
         local = int(np.argmax(values))
         # Strict comparison keeps the first (lex-smallest) maximizer.
         if values[local] > best_value:

@@ -16,7 +16,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import BernoulliParams, Objective, RngStream, elite_count
+from .model import BernoulliParams, Objective, RngStream, check_finite, elite_count
 from .objectives import _all_rows
 
 __all__ = [
@@ -152,14 +152,17 @@ def elite_probability_exhaustive(
 
     Backs the exact per-step drift identity of the threshold walk:
     E[gamma step] = delta * (q*(1-rho) - (1-q)*rho) with q this value.
+    A non-finite value raises DomainError naming its row, as in
+    objectives.enumerate_optimum.
     """
     n = params.n
     blocks = _all_rows(n, _ENUM_MAX_N, "outcomes")
     if obj.n != n:
         raise ValueError(f"objective dimension {obj.n} does not match params dimension {n}")
     acc = 0.0
-    for _, rows in blocks:
+    for start, rows in blocks:
         values = obj.evaluate_many(rows)
+        check_finite(obj.name, values, start, "row")
         mask = values >= gamma
         if np.any(mask):
             acc += float(_chunk_probs(params, rows[mask]).sum())

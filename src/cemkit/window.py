@@ -21,7 +21,6 @@ from .model import (
     Objective,
     OnlineConfig,
     RngStream,
-    bulk_covers,
     elite_count,
     run_online,
 )
@@ -155,16 +154,12 @@ def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> R
     threshold per sample. The window's settled_value is the loop's
     settled test: once the buffer holds N copies of one nonzero value,
     the loop may finish the samples that repeat it in bulk, without
-    calling this rule, which they would leave unchanged. A window class
-    that overrides push or threshold and not settled_value passes no
-    settled test (model.bulk_covers), so that it still sees every
-    per-step call. A non-finite objective value raises DomainError
-    naming its draw.
+    calling this rule, which they would leave unchanged. Whether it
+    does is the recorder's call (see run_online), whatever the window
+    class. A non-finite objective value raises DomainError naming its
+    draw.
     """
     window = SampleWindow(config.N)
-    settled = window.settled_value
-    if not bulk_covers(type(window), "settled_value", ("push", "threshold")):
-        settled = None
     push, threshold = window.push, window.threshold
     N, rho = config.N, config.rho
     gamma: Optional[float] = None
@@ -181,5 +176,5 @@ def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> R
 
     return run_online(
         "window", config, obj, rng, TraceRecorder, is_elite, lambda: (gamma, None),
-        settled,
+        window.settled_value,
     )

@@ -223,14 +223,3 @@ class TestAnalyze:
         trace = run_batch(cfg, obj, RngStream(0))
         with pytest.raises(ValueError):
             analyze(trace, obj, eps_binary=0.5)
-
-    def test_to_dict_shape(self):
-        obj = make_objective(ProblemSpec(kind="onemax", n=4))
-        cfg = BatchConfig(N=10, rho=0.2, alpha=0.5, T=3, eps_conv=None)
-        rep = analyze(run_batch(cfg, obj, RngStream(0)), obj)
-        d = rep.to_dict()
-        assert d["variant"] == "batch"
-        assert isinstance(d["sign_changes"], list)
-        assert all(isinstance(c, int) for c in d["sign_changes"])
-        assert isinstance(d["phi_series"][0], list)
-        assert math.isfinite(d["miss_bound"])

@@ -13,6 +13,7 @@ from cemkit import (
     RngStream,
     draw_sample,
     elite_count,
+    enumerate_optimum,
     is_binary_converged,
     make_objective,
     negated,
@@ -126,6 +127,24 @@ class TestObjective:
             obj.evaluate_many(np.zeros((3, 5), dtype=np.uint8))
         with pytest.raises(DimensionError):
             obj.evaluate_many(np.zeros(4, dtype=np.uint8))
+
+    def test_evaluate_many_rejects_values_of_another_shape(self):
+        # One value too many used to pass, and enumerate_optimum then
+        # reported 99.0, which no row has.
+        def one_too_many(rows):
+            return np.append(rows.sum(axis=1), 99.0)
+
+        def pairs(x):
+            return np.array([1.0, 2.0])
+
+        for obj in (
+            Objective(name="extra", n=3, fn=lambda x: float(np.sum(x)), batch_fn=one_too_many),
+            Objective(name="pairs", n=3, fn=pairs),
+        ):
+            with pytest.raises(DimensionError, match=f"^{obj.name}: 2 rows gave values of shape"):
+                obj.evaluate_many(np.zeros((2, 3), dtype=np.uint8))
+            with pytest.raises(DimensionError, match=f"^{obj.name}: "):
+                enumerate_optimum(obj)
 
     def test_negated_flips_values_and_drops_metadata(self):
         obj = make_objective(ProblemSpec(kind="onemax", n=3))

@@ -1,4 +1,5 @@
-"""A non-finite objective value stops every engine with DomainError."""
+"""A non-finite objective value stops every engine, and every exhaustive
+scan, with DomainError."""
 
 import json
 import math
@@ -8,11 +9,14 @@ import pytest
 
 from cemkit import (
     BatchConfig,
+    BernoulliParams,
     DomainError,
     MemorylessConfig,
     Objective,
     OnlineConfig,
     RngStream,
+    elite_probability_exhaustive,
+    enumerate_optimum,
     run_batch,
     run_memoryless,
     run_online_window,
@@ -79,3 +83,34 @@ def test_cli_exits_1_with_the_message_on_stderr(capsys, tmp_path, monkeypatch):
     out = capsys.readouterr()
     assert code == 1 and out.out == ""
     assert out.err.startswith("error: window: objective returned the non-finite value inf at draw ")
+
+
+def _nan_when_first_bit_set(with_batch_fn):
+    """NaN on the rows with x_0 = 1, onemax otherwise: over n = 3 the
+    finite rows reach 2.0 at 011, and row 4 (100) is the first NaN."""
+
+    def fn(bits):
+        return math.nan if bits[0] else float(bits.sum())
+
+    def batch_fn(rows):
+        return np.where(rows[:, 0] == 1, math.nan, rows.sum(axis=1))
+
+    return Objective(name="nan_x0", n=3, fn=fn, batch_fn=batch_fn if with_batch_fn else None)
+
+
+SCANS = {
+    "enumerate_optimum": enumerate_optimum,
+    # At gamma 1.0 the NaN rows would count as non-elite.
+    "elite_probability_exhaustive": lambda obj: elite_probability_exhaustive(
+        BernoulliParams.uniform_init(obj.n), obj, 1.0
+    ),
+}
+
+
+@pytest.mark.parametrize("with_batch_fn", [False, True], ids=["fn", "batch_fn"])
+@pytest.mark.parametrize("scan", SCANS)
+def test_exhaustive_scan_names_the_non_finite_row(scan, with_batch_fn):
+    obj = _nan_when_first_bit_set(with_batch_fn)
+    with pytest.raises(DomainError) as info:
+        SCANS[scan](obj)
+    assert str(info.value) == "nan_x0: objective returned the non-finite value nan at row 4"
