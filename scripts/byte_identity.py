@@ -6,7 +6,7 @@ Extracts `git archive REF` into a temporary directory, then runs the same
 CLI commands against both source trees: `run`, `compare`, `sweep-alpha`
 and `calibrate-delta0` (at 10000 repetitions), each as CSV and as JSON,
 plus `config-dump`, over two fixed grids of configs: nine commands on each
-of 107 configs, 963 triples. The valid grid covers five problem kinds x three
+of 111 configs, 999 triples. The valid grid covers five problem kinds x three
 variants x snapshot_stride 1 and default x eps_conv set and unset (60
 configs); the memoryless configs cycle through the three delta
 estimators, a pinned gamma0 and a delta_min above 0. Twelve more valid
@@ -24,7 +24,10 @@ where the per-update step is 1 and the miss bound's tail sum is 0.
 Three window configs on trap_k with n = 10, k = 5 at alpha = 0.9,
 N = 100 and K = 5000 settle early, so most of their steps are finished
 in settled stretches: at snapshot_stride 1, at the default stride, and
-with eps_conv = 1e-60, which stops the runs inside a stretch.
+with eps_conv = 1e-60, which stops the runs inside a stretch. Four more
+window configs on the same problem run at alpha = 0.2 and 0.05, each at
+snapshot_stride 1 and at the default stride: their stretches start
+while the ones of the settled row still creep toward their fixed points.
 The rejected grid (31 configs) gives each variant one out-of-range
 value of a key that variant reads, so the ref rejects it too; it guards
 the text of the config checks. Every (stdout, stderr, exit code) triple
@@ -126,7 +129,7 @@ COMMANDS = (
 
 
 def grid():
-    """The 76 valid configs, each a plain dict ready for json.dump."""
+    """The 80 valid configs, each a plain dict ready for json.dump."""
     memoryless = itertools.cycle(ESTIMATORS)
     out = []
     for i, (problem, variant, stride, eps) in enumerate(
@@ -161,6 +164,15 @@ def grid():
             "N": 100, "rho": 0.1, "alpha": 0.9, "T": 50, "K": 5000,
             "replicates": 3, "base_seed": 3000 + 7 * i, "alphas": [0.9, 0.5], "jobs": 1,
             **settings,
+        })
+    # Their stretches start while the ones of the settled row still creep
+    # toward their fixed points.
+    for i, (alpha, stride) in enumerate(itertools.product((0.2, 0.05), (1, None))):
+        out.append({
+            "problem": PROBLEMS[2], "variant": "window",
+            "N": 100, "rho": 0.1, "alpha": alpha, "T": 50, "K": 5000,
+            "replicates": 3, "base_seed": 3100 + 7 * i, "alphas": [alpha, 0.5], "jobs": 1,
+            "snapshot_stride": stride,
         })
     return out
 

@@ -87,14 +87,15 @@ class Objective:
     """Deterministic evaluator on {0,1}^n, with optional known-optimum metadata.
 
     `fn` maps a single bit vector to a float; the online engines call it
-    once per sample. `batch_fn`, when present, maps an (m, n) uint8
-    matrix to an (m,) float vector; the batch engine and brute-force
-    scans use it as a fast path. The two agree row by row: exactly for
-    the integer-valued families (onemax, leading_ones, trap_k, maxcut),
-    and for weighted_linear only up to rounding, because a matrix
-    product may sum the terms in another order than `w @ x`. Optimum
-    metadata enables hit-rate diagnostics and is absent for problems
-    whose optimum is not known.
+    once per sample, except on the rows of a window's settled stretch,
+    which repeat a row already evaluated (see run_online). `batch_fn`,
+    when present, maps an (m, n) uint8 matrix to an (m,) float vector;
+    the batch engine and brute-force scans use it as a fast path. The
+    two agree row by row: exactly for the integer-valued families
+    (onemax, leading_ones, trap_k, maxcut), and for weighted_linear only
+    up to rounding, because a matrix product may sum the terms in
+    another order than `w @ x`. Optimum metadata enables hit-rate
+    diagnostics and is absent for problems whose optimum is not known.
     """
 
     name: str
@@ -298,47 +299,56 @@ def check_finite(who: str, values: Sequence[float], first: int = 0, at: str = "d
         )
 
 
-def _settled_stretch(u, probs, x, keep, alpha1, eps, fn, v):
+def _settled_stretch(u, probs, x, keep, alpha1, eps):
     """The leading rows of a draw block that a settled run takes at x.
 
-    x is the last row drawn, the last step was elite with value v, and
-    the elite rule keeps taking v at x without changing its state. The
-    components with x_i = 1 must be fixed points, p*keep + alpha1 == p,
-    or no row is taken. Every further step at x then moves only the
-    components with x_i = 0, each by a factor keep: params, built with
-    np.multiply.accumulate, holds the parameters before each row of u
-    and after the last, rounded as run_online's update rounds them.
-    A row is taken while it draws x against the parameters before it,
-    fn gives it v again (equal to a nonzero v means equal bits), and no
-    earlier row absorbed the run under eps.
+    x is the last row drawn, the last step was elite, and the elite rule
+    keeps taking x without changing its state. Every further step at x
+    moves each component toward x_i: a zero by a factor keep, built for
+    all rows with one np.multiply.accumulate, and a one along
+    p <- p*keep + alpha1, worked out with Python floats, which round as
+    run_online's update does (two IEEE double operations, no FMA), for
+    the ones not yet at their fixed point. params holds the parameters
+    before each taken row and after the last, rounded as that update
+    rounds them. A row is taken while it draws x against the parameters
+    before it and no earlier row absorbed the run under eps. The ones
+    still moving are held at 1.0, where every row draws 1, until the
+    other columns have fixed the row where the draws break; their paths
+    are then worked out, and checked, only up to that row.
 
-    Returns (params, m, carried, absorbed): m rows taken, their
-    parameters params[1 : m + 1]; carried the (bits, value) of row m when
-    fn was called on it and gave another value, else None; absorbed
-    whether the parameters after row m - 1 stop the run.
+    Returns (params, m, absorbed): m rows taken, their parameters
+    params[1 : m + 1]; absorbed whether the parameters after row m - 1
+    stop the run.
     """
     ones = x.view(bool)
-    if not (probs * keep + alpha1 == probs)[ones].all():
-        return None, 0, None, False
-    rows = len(u)
-    params = np.empty((rows + 1, probs.size))
+    moving = np.flatnonzero(ones & (probs * keep + alpha1 != probs))
+    params = np.empty((len(u) + 1, probs.size))
     params[0] = probs
+    params[0, moving] = 1.0
     params[1:] = np.where(ones, 1.0, keep)
     np.multiply.accumulate(params, axis=0, out=params)
-    drawn = np.less(u, params[:-1])
-    differ = np.flatnonzero((drawn != ones).any(axis=1))
-    m = int(differ[0]) if differ.size else rows
+    differ = np.flatnonzero(np.less(u, params[:-1]) != ones)
+    m = int(differ[0]) // probs.size if differ.size else len(u)
+    k = 1.0 - alpha1
+    for j in moving.tolist():
+        if not m:
+            break
+        p = probs.item(j)
+        path = [p]
+        for uj in u[:m, j].tolist():
+            if not uj < p:
+                break
+            p = p * k + alpha1
+            path.append(p)
+        m = len(path) - 1
+        params[: m + 1, j] = path
     absorbed = False
     if eps is not None and m:
         after = params[1 : m + 1]
         inside = ((after > eps) & (after < 1.0 - eps)).any(axis=1)
         if not inside.all():
             m, absorbed = int(inside.argmin()) + 1, True
-    for s, row in enumerate(drawn[:m].view(np.uint8)):
-        value = float(fn(row))
-        if value != v:
-            return params, s, (row, value), False
-    return params, m, None, absorbed
+    return params, m, absorbed
 
 
 def bulk_covers(cls: type, bulk: str, per_step: Tuple[str, ...]) -> bool:
@@ -370,15 +380,16 @@ def run_online(
 ) -> "RunTrace":
     """Run K per-sample steps of an online variant: the loop both share.
 
-    Per step: take a bit vector, evaluate it with obj.fn, and ask the
-    variant's elite rule is_elite(t, value) about it. An elite sample
-    moves the parameters by config.alpha1 toward itself. state() returns
-    the rule's (gamma, delta); it is read at snapshot steps and at the
-    end. A non-finite objective value raises DomainError naming the
-    variant and its draw. recorder_class is the engine module's
-    TraceRecorder (see RunSettings.start); its offer_best sees only the
-    values that beat every earlier one, which are all that can change
-    the best sample or the first hit.
+    Per step: take a bit vector, evaluate it with obj.fn (except on the
+    rows of a settled stretch, below), and ask the variant's elite rule
+    is_elite(t, value) about it. An elite sample moves the parameters
+    by config.alpha1 toward itself. state() returns the rule's (gamma,
+    delta); it is read at snapshot steps and at the end. A non-finite
+    objective value raises DomainError naming the variant and its draw.
+    recorder_class is the engine module's TraceRecorder (see
+    RunSettings.start); its offer_best sees only the values that beat
+    every earlier one, which are all that can change the best sample or
+    the first hit.
 
     Uniforms are drawn in blocks of whole rows. PCG64's random((B, n))
     gives the same numbers as B calls of random(n), so each row equals
@@ -394,26 +405,23 @@ def run_online(
     that, after an elite step of value v, every further step of value
     v is elite and leaves the rule's state and state() as they are;
     None when there is no such value now. A run is settled at a new
-    block when three things hold: the last step was elite, at row x;
-    settled() returns v; and every component with x_i = 1 is a fixed
-    point of the update, p*keep + alpha1 == p (1.0, or a value just
-    below it where the step rounds away). Then the block's leading
-    rows are handled as one stretch (_settled_stretch): its parameter
-    rows come from one np.multiply.accumulate over the x_i = 0
-    components, and a row is taken only while it draws x against its
-    own parameters and fn, still called once on it, returns v. Each
-    taken row is thus checked to be the step the loop would make, so
-    the stretch is exact; the rest of the block goes through the loop,
-    starting with the row that broke it, whose value is not asked
-    twice. The recorder takes the stretch with one updates_applied
-    call; is_elite and offer_best are not called for it (v is not a
-    new best). The window engine passes its settled-value test; the
-    memoryless rule, whose threshold moves on every step, passes none.
-    The recorder is the one switch: a recorder_class that overrides
-    update_applied or maybe_snapshot and not updates_applied takes no
-    stretch (bulk_covers), so that it still sees one call per update
-    and per stride step, and the run's window sees every push and
-    threshold call.
+    block when the last step was elite, at row x, and settled()
+    returns v. Then the block's leading rows are handled as one
+    stretch (_settled_stretch): a row is taken only while it draws x
+    against its own parameters, which the stretch works out as the
+    loop's update rounds them, whether or not the ones of x have
+    reached their fixed points. A taken row equals x bit for bit, and
+    obj is deterministic, so its value is v: finite, elite and not a
+    new best. fn, is_elite and offer_best are not called for it, and
+    the recorder takes the stretch with one updates_applied call. The
+    rest of the block goes through the loop, starting with the row
+    that broke the stretch. The window engine passes its settled-value
+    test; the memoryless rule, whose threshold moves on every step,
+    passes none. The recorder is the one switch: a recorder_class
+    that overrides update_applied or maybe_snapshot and not
+    updates_applied takes no stretch (bulk_covers), so that it still
+    sees one fn call per step, one call per update and per stride
+    step, and the run's window sees every push and threshold call.
 
     config is an OnlineConfig or a MemorylessConfig; eps_conv set stops
     the run early on 0/1 absorption.
@@ -443,32 +451,25 @@ def run_online(
         start = t  # the step of the block's first row
         u = random((min(block_rows, K - t), n))
         end = start + len(u)
-        bits_from = carried = None  # bits of rows first.. of u; a row fn has seen
-        if elite and settled is not None:
-            v = settled()
-            if v is not None:
-                params, m, carried, absorbed = _settled_stretch(
-                    u, probs, bits, keep, alpha1, eps, fn, v)
-                if m:
-                    probs = params[m]
-                    recorder.updates_applied(params[1 : m + 1], t, *state())
-                    t += m
-                    if absorbed:
-                        return recorder.finish(t, *state())
+        bits_from = None  # bits of rows first.. of u
+        if elite and settled is not None and settled() is not None:
+            params, m, absorbed = _settled_stretch(u, probs, bits, keep, alpha1, eps)
+            if m:
+                probs = params[m]
+                recorder.updates_applied(params[1 : m + 1], t, *state())
+                t += m
+                if absorbed:
+                    return recorder.finish(t, *state())
         for t in range(t, end):
-            if carried is not None:
-                bits, value = carried
-                carried = None
+            if bits_from is not None:
+                bits = bits_from[t - first]
+            elif elite:
+                bits = less(u[t - start], probs).view(uint8)
             else:
-                if bits_from is not None:
-                    bits = bits_from[t - first]
-                elif elite:
-                    bits = less(u[t - start], probs).view(uint8)
-                else:
-                    first = t
-                    bits_from = less(u[t - start :], probs).view(uint8)
-                    bits = bits_from[0]
-                value = float(fn(bits))
+                first = t
+                bits_from = less(u[t - start :], probs).view(uint8)
+                bits = bits_from[0]
+            value = float(fn(bits))
             if not isfinite(value):
                 check_finite(variant, (value,), t)
             if value > best:

@@ -154,7 +154,7 @@ def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> R
     threshold per sample. The window's settled_value is the loop's
     settled test: once the buffer holds N copies of one nonzero value,
     the loop may finish the samples that repeat it in bulk, without
-    calling this rule, which they would leave unchanged. Whether it
+    calling fn or this rule, which they would leave unchanged. Whether it
     does is the recorder's call (see run_online), whatever the window
     class. A non-finite objective value raises DomainError naming its
     draw.

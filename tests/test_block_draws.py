@@ -3,8 +3,9 @@
 The window and memoryless engines draw their uniforms in blocks of rows
 (inside model.run_online) and evaluate one consumed row at a time with
 `Objective.fn`. Nothing a run returns may depend on the block size, the
-objective is called exactly once per step, and a non-finite value is
-reported at the draw that produced it. Likewise, no engine's RunTrace
+objective is called exactly once per step outside a window's settled
+stretches and never inside one, and a non-finite value is reported at
+the draw that produced it. Likewise, no engine's RunTrace
 may depend on the size of the TraceRecorder's update-log block.
 """
 
@@ -158,11 +159,9 @@ def counted(obj):
     return Objective(obj.name, obj.n, fn, batch_fn, obj.optimal_bits, obj.optimal_value), calls
 
 
-@pytest.mark.parametrize(
-    "case", ["window", "memoryless_gauss", "window_eps", "memoryless_eps", "window_settled"]
-)
-def test_fn_called_once_per_step(monkeypatch, case):
-    (engine, cfg), seed = EPS_CASES[case] if case in EPS_CASES else (CASES[case], 3)
+def watch_stretches(mp):
+    """A list that gets the row count of every updates_applied call (one
+    settled stretch each) of the runs started after."""
     stretch_rows = []
     updates_applied = TraceRecorder.updates_applied
 
@@ -170,10 +169,20 @@ def test_fn_called_once_per_step(monkeypatch, case):
         stretch_rows.append(len(params))
         updates_applied(self, params, step, gamma, delta)
 
-    monkeypatch.setattr(TraceRecorder, "updates_applied", spy)
+    mp.setattr(TraceRecorder, "updates_applied", spy)
+    return stretch_rows
+
+
+@pytest.mark.parametrize(
+    "case", ["window", "memoryless_gauss", "window_eps", "memoryless_eps", "window_settled"]
+)
+def test_fn_called_once_per_step(monkeypatch, case):
+    # Once per step outside a settled stretch; a stretch row calls none.
+    (engine, cfg), seed = EPS_CASES[case] if case in EPS_CASES else (CASES[case], 3)
+    stretch_rows = watch_stretches(monkeypatch)
     obj, calls = counted(TRAP)
     run = engine(cfg, obj, RngStream(seed))
-    assert len(calls) == run.steps
+    assert len(calls) + sum(stretch_rows) == run.steps
     if case in EPS_CASES:
         assert run.steps < cfg.K
     if case == "window_settled":
@@ -181,6 +190,9 @@ def test_fn_called_once_per_step(monkeypatch, case):
 
 
 def nan_at(draw, n=10):
+    """Objective that returns NaN on its call number draw + 1: at draw
+    `draw` when no settled stretch, which calls it on none of its rows,
+    comes before that draw."""
     calls = []
 
     def fn(bits):
@@ -197,13 +209,17 @@ B = default_rows(10)
 @pytest.mark.parametrize(
     "variant, engine, cfg",
     [
-        ("window", run_online_window, OnlineConfig(N=20, rho=0.1, alpha=0.5, K=3 * B)),
+        # At alpha 0.1 the window takes no stretch within these draws; at
+        # 0.5 it takes one from draw B on.
+        ("window", run_online_window, OnlineConfig(N=20, rho=0.1, alpha=0.1, K=3 * B)),
         ("memoryless", run_memoryless, MemorylessConfig(N=20, rho=0.1, alpha=0.5, K=3 * B)),
     ],
 )
-def test_non_finite_value_named_at_its_draw(variant, engine, cfg, draw):
+def test_non_finite_value_named_at_its_draw(monkeypatch, variant, engine, cfg, draw):
+    stretch_rows = watch_stretches(monkeypatch)
     with pytest.raises(DomainError) as info:
         engine(cfg, nan_at(draw), RngStream(1))
+    assert not stretch_rows
     assert str(info.value) == (
         f"{variant}: objective returned the non-finite value nan at draw {draw}"
     )

@@ -10,7 +10,7 @@ functions and that reference recorder.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cemkit import (
@@ -562,8 +562,9 @@ def test_window_on_signed_zeros_matches_replay(stride):
 
 
 # Settled window runs: once the window holds N copies of one nonzero
-# value and the last elite row's ones sit at fixed points, run_online
-# finishes draw blocks in stretches (TraceRecorder.updates_applied).
+# value and the last step was elite, run_online finishes draw blocks in
+# stretches (TraceRecorder.updates_applied), whether or not the ones of
+# the last elite row have reached their fixed points.
 
 TRAP_5_10 = make_objective(ProblemSpec(kind="trap_k", n=10, k=5))
 
@@ -593,6 +594,31 @@ def ends_at(stretches, step):
     return any(first + rows == step for first, rows in stretches)
 
 
+def watch_attempts(mp):
+    """(probs, x, alpha1, m) of every settled-stretch attempt of the runs
+    started after: the parameters and row it starts from, and the rows
+    it takes."""
+    attempts = []
+    settled_stretch = model_module._settled_stretch
+
+    def spy(u, probs, x, keep, alpha1, eps):
+        params, m, absorbed = settled_stretch(u, probs, x, keep, alpha1, eps)
+        attempts.append((probs.copy(), x.copy(), alpha1, m))
+        return params, m, absorbed
+
+    mp.setattr(model_module, "_settled_stretch", spy)
+    return attempts
+
+
+def creeping_rows(attempts):
+    """Rows taken by stretches that start while a one of x still moves:
+    p*(1 - alpha1) + alpha1 != p."""
+    return sum(
+        m for probs, x, alpha1, m in attempts
+        if (probs[x == 1] * (1.0 - alpha1) + alpha1 != probs[x == 1]).any()
+    )
+
+
 # Seed 0 settles on the all-zero row, seed 3 on a row whose ones stall at
 # 1 - 5 * 2^-53.
 @pytest.mark.parametrize("seed", [0, 3])
@@ -618,11 +644,29 @@ def test_settled_window_below_one_matches_replay(monkeypatch):
     obj = make_objective(ProblemSpec(kind="maxcut", n=20, edges=tuple(sorted(edges))))
     cfg = OnlineConfig(N=100, rho=0.1, alpha=0.7, K=3000, snapshot_stride=1)
     stretches, thresholds = watch_window(monkeypatch)
+    attempts = watch_attempts(monkeypatch)
     run = run_online_window(cfg, obj, RngStream(1))
     assert outcome(run) == replay_window(cfg, obj, RngStream(1))
-    assert sum(rows for _, rows in stretches) > (cfg.K - cfg.N) // 2
+    # Stretches that waited for the ones' fixed points took 1878 rows here.
+    assert sum(rows for _, rows in stretches) > 1878 + 250
+    assert creeping_rows(attempts) > 250
     high = run.final_params.probs[run.final_params.probs > 0.5]
     assert high.size and np.all(high == 1.0 - 7 * 2.0**-53)
+
+
+# trap_5_10's seed-1 run at alpha 0.2 settles on x = 0000011111 at step
+# 1530, while its ones still sit about 4.5e-6 below 1; they reach their
+# fixed points about 1100 steps later.
+@pytest.mark.parametrize("stride", [None, 1])
+def test_creeping_window_matches_replay(monkeypatch, stride):
+    cfg = OnlineConfig(N=100, rho=0.1, alpha=0.2, K=5000, snapshot_stride=stride)
+    stretches, thresholds = watch_window(monkeypatch)
+    attempts = watch_attempts(monkeypatch)
+    run = run_online_window(cfg, TRAP_5_10, RngStream(1))
+    assert outcome(run) == replay_window(cfg, TRAP_5_10, RngStream(1))
+    bulk = sum(rows for _, rows in stretches)
+    assert thresholds[0] + bulk == cfg.K - cfg.N and bulk > 3400
+    assert stretches[0][0] == 1530 and creeping_rows(attempts) > 1000
 
 
 def test_eps_conv_stop_inside_a_stretch(monkeypatch):
@@ -659,19 +703,22 @@ TRAP_5 = make_objective(ProblemSpec(kind="trap_k", n=5, k=5))
 BLIND_5_10 = Objective(name="blind_5_10", n=10, fn=lambda bits: TRAP_5.fn(bits[:5]))
 
 
-# trap_5_10's seed-3 run is settled at x = 1111100000 from step 714 on,
-# and step 1774 is row 40 of a stretch. The largest float below 1 draws
-# a 0 at a one stalled below 1; 0.0 draws a 1 at a zero still above 0.
-# blind_5_10's seed-1 run is settled at x = 0000001111 there, and a 1 at
-# bit 5 leaves the value as it was: only the draw check sees that row.
-@pytest.mark.parametrize("obj, seed, component, u", [
-    (TRAP_5_10, 3, 2, np.nextafter(1.0, 0.0)),
-    (TRAP_5_10, 3, 7, 0.0),
-    (BLIND_5_10, 1, 5, 0.0),
-], ids=["high", "low", "same_value"])
-def test_patched_uniform_breaks_a_stretch(monkeypatch, obj, seed, component, u):
-    cfg = OnlineConfig(N=100, rho=0.1, alpha=0.9, K=5000)
-    at = 1774
+# At alpha 0.9, trap_5_10's seed-3 run is settled at x = 1111100000 from
+# step 714 on, and step 1774 is row 40 of a stretch. The largest float
+# below 1 draws a 0 at a one stalled below 1; 0.0 draws a 1 at a zero
+# still above 0. blind_5_10's seed-1 run is settled at x = 0000001111
+# there, and a 1 at bit 5 leaves the value as it was: only the draw check
+# sees that row. At alpha 0.2, trap_5_10's seed-1 run is settled at
+# x = 0000011111 from step 1530 on, and step 1570 is row 40 of a stretch
+# in which bit 6 still climbs toward 1.
+@pytest.mark.parametrize("obj, alpha, seed, at, component, u", [
+    (TRAP_5_10, 0.9, 3, 1774, 2, np.nextafter(1.0, 0.0)),
+    (TRAP_5_10, 0.9, 3, 1774, 7, 0.0),
+    (BLIND_5_10, 0.9, 1, 1774, 5, 0.0),
+    (TRAP_5_10, 0.2, 1, 1570, 6, np.nextafter(1.0, 0.0)),
+], ids=["high", "low", "same_value", "moving"])
+def test_patched_uniform_breaks_a_stretch(monkeypatch, obj, alpha, seed, at, component, u):
+    cfg = OnlineConfig(N=100, rho=0.1, alpha=alpha, K=5000)
     patches = {at * obj.n + component: u}
     stretches, _ = watch_window(monkeypatch)
     run = run_online_window(cfg, obj, PatchedStream(seed, patches))
@@ -679,28 +726,91 @@ def test_patched_uniform_breaks_a_stretch(monkeypatch, obj, seed, component, u):
     assert ends_at(stretches, at) and any(first > at for first, _ in stretches)
 
 
-def flaky(obj, at):
-    """obj whose fn answers one less on its call for step `at`; and the calls."""
-    calls = []
+@pytest.mark.parametrize("below, breaks", [(False, True), (True, False)], ids=["at", "below"])
+def test_moving_one_drawn_against_its_own_path(monkeypatch, below, breaks):
+    # Step 1570 of the alpha-0.2 run above: bit 6 is then well above its
+    # value at the stretch's start. A uniform equal to its parameter at
+    # that step draws a 0 and breaks the stretch there; the float just
+    # below draws the 1 of x, and the stretch goes on.
+    cfg = OnlineConfig(N=100, rho=0.1, alpha=0.2, K=5000, snapshot_stride=1)
+    at, component = 1570, 6
+    snapshots = run_online_window(cfg, TRAP_5_10, RngStream(1)).snapshots
+    p = snapshots[at].params[component]
+    assert np.nextafter(p, 0.0) > snapshots[1530].params[component]
+    patches = {at * TRAP_5_10.n + component: np.nextafter(p, 0.0) if below else p}
+    stretches, _ = watch_window(monkeypatch)
+    run = run_online_window(cfg, TRAP_5_10, PatchedStream(1, patches))
+    assert outcome(run) == replay_window(cfg, TRAP_5_10, PatchedStream(1, patches))
+    assert ends_at(stretches, at) == breaks
+    assert any(first < at < first + rows for first, rows in stretches) == (not breaks)
+
+
+@pytest.mark.parametrize("alpha, seed", [(0.9, 3), (0.2, 1)])
+def test_stretch_rows_call_no_fn(monkeypatch, alpha, seed):
+    # fn is called on every step outside a stretch and on none inside
+    # one: the calls and the stretches tile the run's steps in order.
+    cfg = OnlineConfig(N=100, rho=0.1, alpha=alpha, K=5000)
+    events = []
+    updates_applied = TraceRecorder.updates_applied
+
+    def spy(self, params, step, gamma, delta):
+        events.append((step, len(params)))
+        updates_applied(self, params, step, gamma, delta)
 
     def fn(bits):
-        calls.append(1)
-        return obj.fn(bits) - (len(calls) == at + 1)
+        events.append(None)
+        return TRAP_5_10.fn(bits)
 
-    return Objective("flaky", obj.n, fn, None, obj.optimal_bits, obj.optimal_value), calls
+    monkeypatch.setattr(TraceRecorder, "updates_applied", spy)
+    obj = Objective("counted", TRAP_5_10.n, fn, None, TRAP_5_10.optimal_bits, TRAP_5_10.optimal_value)
+    run = run_online_window(cfg, obj, RngStream(seed))
+    t = 0
+    for event in events:
+        if event is None:
+            t += 1
+        else:
+            assert event[0] == t
+            t += event[1]
+    assert t == run.steps == cfg.K
+    assert events.count(None) < cfg.K // 2
+    assert outcome(run) == replay_window(cfg, TRAP_5_10, RngStream(seed))
 
 
-def test_objective_changing_inside_a_stretch(monkeypatch):
-    # The step at 1774 lies inside a stretch. Its changed value ends the
-    # stretch there, and the loop takes that row without a second call.
-    cfg = OnlineConfig(N=100, rho=0.1, alpha=0.9, K=5000)
-    at = 1774
-    stretches, _ = watch_window(monkeypatch)
-    obj, calls = flaky(TRAP_5_10, at)
-    run = run_online_window(cfg, obj, RngStream(3))
-    assert len(calls) == run.steps == cfg.K
-    assert outcome(run) == replay_window(cfg, flaky(TRAP_5_10, at)[0], RngStream(3))
-    assert ends_at(stretches, at) and any(first > at for first, _ in stretches)
+# alpha1 = 2^-54 rounds 1 - alpha1 to 1.0, so a one at 0.5 stays put;
+# 1.0 is a start a one can reach with keep = 0.0.
+EDGE_STARTS = [0.5, 1.0 - 2.0**-53, 1.0]
+
+
+@settings(max_examples=60, deadline=None)
+@example(starts=EDGE_STARTS, zeros=[0.3], alpha1=1.0, rows=70)
+@example(starts=EDGE_STARTS, zeros=[0.3], alpha1=0.07, rows=70)
+@example(starts=EDGE_STARTS, zeros=[0.3], alpha1=5e-16, rows=70)
+@example(starts=EDGE_STARTS, zeros=[0.3], alpha1=2.0**-54, rows=70)
+@given(
+    starts=st.lists(
+        st.sampled_from(EDGE_STARTS) | st.floats(2.0**-60, 1.0),
+        min_size=1, max_size=6,
+    ),
+    zeros=st.lists(st.floats(0.0, 0.999), max_size=3),
+    alpha1=st.sampled_from([1.0, 0.07, 5e-16, 2.0**-54]) | st.floats(2.0**-60, 1.0),
+    rows=st.integers(1, 70),
+)
+def test_stretch_path_equals_numpy_update(starts, zeros, alpha1, rows):
+    # The ones' paths, worked out with Python floats, and the zeros'
+    # accumulated products equal run_online's update row after row, bit
+    # for bit. Uniforms of 0.0 at the ones and just below 1 at the zeros
+    # draw x on every row, so the whole block is taken.
+    probs = np.array(starts + zeros)
+    x = np.array([1] * len(starts) + [0] * len(zeros), dtype=np.uint8)
+    keep = np.full(probs.size, 1.0 - alpha1)
+    u = np.tile(np.where(x == 1, 0.0, np.nextafter(1.0, 0.0)), (rows, 1))
+    params, m, absorbed = model_module._settled_stretch(u, probs, x, keep, alpha1, None)
+    assert m == rows and not absorbed
+    toward = np.array([0.0, alpha1]).take
+    expected = [probs]
+    for _ in range(rows):
+        expected.append(expected[-1] * keep + toward(x))
+    assert params[: rows + 1].tobytes() == np.array(expected).tobytes()
 
 
 @pytest.mark.parametrize("variant", ["batch", "window", "memoryless", "window_settled"])
