@@ -6,7 +6,7 @@ Extracts `git archive REF` into a temporary directory, then runs the same
 CLI commands against both source trees: `run`, `compare`, `sweep-alpha`
 and `calibrate-delta0` (at 10000 repetitions), each as CSV and as JSON,
 plus `config-dump`, over two fixed grids of configs: nine commands on each
-of 111 configs, 999 triples. The valid grid covers five problem kinds x three
+of 151 configs, 1359 triples. The valid grid covers five problem kinds x three
 variants x snapshot_stride 1 and default x eps_conv set and unset (60
 configs); the memoryless configs cycle through the three delta
 estimators, a pinned gamma0 and a delta_min above 0. Twelve more valid
@@ -28,6 +28,10 @@ with eps_conv = 1e-60, which stops the runs inside a stretch. Four more
 window configs on the same problem run at alpha = 0.2 and 0.05, each at
 snapshot_stride 1 and at the default stride: their stretches start
 while the ones of the settled row still creep toward their fixed points.
+Forty more configs keep the online engines' value memo on: every problem
+kind at n = 8, where K = 1040 = T * N holds at least 4 * 2^n steps, each
+as window and as memoryless, at snapshot_stride 1 and default and with
+eps_conv set and unset.
 The rejected grid (31 configs) gives each variant one out-of-range
 value of a key that variant reads, so the ref rejects it too; it guards
 the text of the config checks. Every (stdout, stderr, exit code) triple
@@ -115,6 +119,15 @@ EDGES = [
     ({"kind": "trap_k", "n": 258, "k": 129}, {}),
     ({"kind": "onemax", "n": 20}, {"T": 400, "K": 8000, "snapshot_stride": 1}),
 ]
+# Problems with 2^n <= K // 4 at K = 1040: their online runs keep a value memo.
+MEMO_PROBLEMS = [
+    {"kind": "onemax", "n": 8},
+    {"kind": "leading_ones", "n": 8},
+    {"kind": "trap_k", "n": 8, "k": 4},
+    {"kind": "maxcut", "n": 8,
+     "edges": [[0, 1], [0, 5], [1, 2], [1, 6], [2, 3], [2, 7], [3, 4], [4, 5], [5, 6], [6, 7], [7, 0]]},
+    PROBLEMS[4],
+]
 COMMANDS = (
     ["run"],
     ["run", "--format", "json"],
@@ -129,7 +142,7 @@ COMMANDS = (
 
 
 def grid():
-    """The 80 valid configs, each a plain dict ready for json.dump."""
+    """The 120 valid configs, each a plain dict ready for json.dump."""
     memoryless = itertools.cycle(ESTIMATORS)
     out = []
     for i, (problem, variant, stride, eps) in enumerate(
@@ -173,6 +186,15 @@ def grid():
             "N": 100, "rho": 0.1, "alpha": alpha, "T": 50, "K": 5000,
             "replicates": 3, "base_seed": 3100 + 7 * i, "alphas": [alpha, 0.5], "jobs": 1,
             "snapshot_stride": stride,
+        })
+    for i, (problem, variant, stride, eps) in enumerate(
+        itertools.product(MEMO_PROBLEMS, ("window", "memoryless"), (1, None), (0.01, None))
+    ):
+        out.append({
+            "problem": problem, "variant": variant,
+            "N": 20, "rho": 0.1, "alpha": 0.7, "T": 52, "K": 1040,
+            "replicates": 3, "base_seed": 4000 + 7 * i, "alphas": [0.7, 0.2], "jobs": 1,
+            "snapshot_stride": stride, "eps_conv": eps,
         })
     return out
 

@@ -86,9 +86,12 @@ class EvaluatedSample:
 class Objective:
     """Deterministic evaluator on {0,1}^n, with optional known-optimum metadata.
 
-    `fn` maps a single bit vector to a float; the online engines call it
-    once per sample, except on the rows of a window's settled stretch,
-    which repeat a row already evaluated (see run_online). `batch_fn`,
+    `fn` maps a single bit vector to a float, and must give the same
+    value whenever it is called on the same row. The online engines call
+    it once per sample, except on the rows of a window's settled
+    stretch, which repeat a row already evaluated, and in a run whose
+    2^n rows are few against its K steps, which keeps a value memo and
+    calls it once per distinct row (see run_online). `batch_fn`,
     when present, maps an (m, n) uint8 matrix to an (m,) float vector;
     the batch engine and brute-force scans use it as a fast path. The
     two agree row by row: exactly for the integer-valued families
@@ -165,6 +168,12 @@ class RngStream:
 # Uniforms the online engines draw per block (whole rows, at least one).
 # Outputs do not depend on it.
 _DRAW_BLOCK_VALUES = 1 << 10
+
+# An online run keeps a value memo when its 2^n rows fit in both K //
+# _MEMO_STEPS_PER_ROW and _MEMO_ROWS: then at least 3 of 4 steps repeat
+# a row, and the memo stays bounded. Outputs do not depend on either.
+_MEMO_STEPS_PER_ROW = 4
+_MEMO_ROWS = 1 << 16
 
 
 def draw_sample(params: BernoulliParams, rng: RngStream) -> np.ndarray:
@@ -376,20 +385,20 @@ def run_online(
     recorder_class: type,
     is_elite: Callable[[int, float], bool],
     state: Callable[[], Tuple[Optional[float], Optional[float]]],
-    settled: Optional[Callable[[], Optional[float]]] = None,
+    settled: Optional[Callable[[], bool]] = None,
 ) -> "RunTrace":
     """Run K per-sample steps of an online variant: the loop both share.
 
     Per step: take a bit vector, evaluate it with obj.fn (except on the
-    rows of a settled stretch, below), and ask the variant's elite rule
-    is_elite(t, value) about it. An elite sample moves the parameters
-    by config.alpha1 toward itself. state() returns the rule's (gamma,
-    delta); it is read at snapshot steps and at the end. A non-finite
-    objective value raises DomainError naming the variant and its draw.
-    recorder_class is the engine module's TraceRecorder (see
-    RunSettings.start); its offer_best sees only the values that beat
-    every earlier one, which are all that can change the best sample or
-    the first hit.
+    rows of a settled stretch and on memo hits, below), and ask the
+    variant's elite rule is_elite(t, value) about it. An elite sample
+    moves the parameters by config.alpha1 toward itself. state()
+    returns the rule's (gamma, delta); it is read at snapshot steps and
+    at the end. A non-finite objective value raises DomainError naming
+    the variant and its draw. recorder_class is the engine module's
+    TraceRecorder (see RunSettings.start); its offer_best sees only the
+    values that beat every earlier one, which are all that can change
+    the best sample or the first hit.
 
     Uniforms are drawn in blocks of whole rows. PCG64's random((B, n))
     gives the same numbers as B calls of random(n), so each row equals
@@ -401,39 +410,53 @@ def run_online(
     together. Each comparison is a new array whose rows are passed on
     as uint8 views, so a row already handed out never changes.
 
-    Settled stretches. settled(), when given, returns a value v such
-    that, after an elite step of value v, every further step of value
-    v is elite and leaves the rule's state and state() as they are;
-    None when there is no such value now. A run is settled at a new
-    block when the last step was elite, at row x, and settled()
-    returns v. Then the block's leading rows are handled as one
-    stretch (_settled_stretch): a row is taken only while it draws x
-    against its own parameters, which the stretch works out as the
-    loop's update rounds them, whether or not the ones of x have
-    reached their fixed points. A taken row equals x bit for bit, and
-    obj is deterministic, so its value is v: finite, elite and not a
-    new best. fn, is_elite and offer_best are not called for it, and
-    the recorder takes the stretch with one updates_applied call. The
-    rest of the block goes through the loop, starting with the row
-    that broke the stretch. The window engine passes its settled-value
-    test; the memoryless rule, whose threshold moves on every step,
-    passes none. The recorder is the one switch: a recorder_class
-    that overrides update_applied or maybe_snapshot and not
-    updates_applied takes no stretch (bulk_covers), so that it still
-    sees one fn call per step, one call per update and per stride
-    step, and the run's window sees every push and threshold call.
+    Value memo. A run that can draw at most 2^n distinct rows, with
+    2^n <= min(K // _MEMO_STEPS_PER_ROW, _MEMO_ROWS), repeats a row on
+    at least three of four steps. Such a run keeps a memo from a row's
+    bytes to its value, so fn is called once per distinct row. The
+    first draw of a row goes through fn, the non-finite check and
+    offer_best, and only a finite value is stored. A later draw takes
+    the stored value, which is what fn would return, because obj is
+    deterministic; it is finite and cannot be a new best. Other runs
+    build no key.
+
+    Settled stretches. settled(), when given, tells whether the rule
+    now holds a value v such that, after an elite step of value v,
+    every further step of value v is elite and leaves the rule's state
+    and state() as they are. A run is settled at a new block when the
+    last step was elite, at row x, and settled() is true; v is then
+    x's value. The block's leading rows are handled as one stretch
+    (_settled_stretch): a row is taken only while it draws x against
+    its own parameters, which the stretch works out as the loop's
+    update rounds them, whether or not the ones of x have reached their
+    fixed points. A taken row equals x bit for bit, and obj is
+    deterministic, so its value is v: finite, elite and not a new best.
+    fn, is_elite and offer_best are not called for it, and the recorder
+    takes the stretch with one updates_applied call. The rest of the
+    block goes through the loop, starting with the row that broke the
+    stretch. The window engine passes its holds_one_value test; the
+    memoryless rule, whose threshold moves on every step, passes none.
+
+    The recorder is the one switch for both: a recorder_class that
+    overrides update_applied or maybe_snapshot and not updates_applied
+    takes no stretch and keeps no memo (bulk_covers), so that it still
+    sees one fn call per step, one call per update and per stride step,
+    and the run's window sees every push and threshold call.
 
     config is an OnlineConfig or a MemorylessConfig; eps_conv set stops
     the run early on 0/1 absorption.
     """
     recorder = config.start(variant, obj, recorder_class)
-    if not bulk_covers(recorder_class, "updates_applied", ("update_applied", "maybe_snapshot")):
+    bulk = bulk_covers(recorder_class, "updates_applied", ("update_applied", "maybe_snapshot"))
+    if not bulk:
         settled = None
     alpha1, stride, K = config.alpha1, config.stride, config.K
     offer_best, update_applied = recorder.offer_best, recorder.update_applied
     maybe_snapshot = recorder.maybe_snapshot
     probs = recorder.p0.probs.copy()
     n = probs.size
+    # Row bytes -> value, when the run must repeat rows.
+    memo = {} if bulk and (1 << n) <= min(K // _MEMO_STEPS_PER_ROW, _MEMO_ROWS) else None
     fn = obj.fn
     isfinite = math.isfinite
     random, less, uint8 = rng.random, np.less, np.uint8
@@ -452,7 +475,7 @@ def run_online(
         u = random((min(block_rows, K - t), n))
         end = start + len(u)
         bits_from = None  # bits of rows first.. of u
-        if elite and settled is not None and settled() is not None:
+        if elite and settled is not None and settled():
             params, m, absorbed = _settled_stretch(u, probs, bits, keep, alpha1, eps)
             if m:
                 probs = params[m]
@@ -469,12 +492,16 @@ def run_online(
                 first = t
                 bits_from = less(u[t - start :], probs).view(uint8)
                 bits = bits_from[0]
-            value = float(fn(bits))
-            if not isfinite(value):
-                check_finite(variant, (value,), t)
-            if value > best:
-                best = value
-                offer_best(bits, value, t)
+            value = None if memo is None else memo.get(bits.tobytes())
+            if value is None:
+                value = float(fn(bits))
+                if not isfinite(value):
+                    check_finite(variant, (value,), t)
+                if value > best:
+                    best = value
+                    offer_best(bits, value, t)
+                if memo is not None:
+                    memo[bits.tobytes()] = value
             elite = is_elite(t, value)
             if elite:
                 probs = probs * keep + toward(bits)

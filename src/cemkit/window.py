@@ -90,18 +90,16 @@ class SampleWindow:
             insort(ranked, value)
             del ranked[bisect_left(ranked, oldest)]
 
-    def settled_value(self) -> Optional[float]:
-        """The value v the full buffer holds in every slot, bit for bit,
-        when v is nonzero; None otherwise.
+    def holds_one_value(self) -> bool:
+        """Whether the full buffer holds one nonzero value v in every slot,
+        bit for bit.
 
         Equal nonzero floats have identical bits. Pushing v then changes
         neither the deque nor the sorted list, and v is every rank
         statistic, so a sample of value v is elite with threshold v.
         """
         ranked = self._sorted_values
-        if len(ranked) == self.capacity and ranked[0] == ranked[-1] and ranked[0]:
-            return ranked[0]
-        return None
+        return len(ranked) == self.capacity and ranked[0] == ranked[-1] and ranked[0] != 0.0
 
     def threshold(self, rho: float) -> float:
         """ceil(rho*N)-th largest value currently in the buffer."""
@@ -151,7 +149,7 @@ def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> R
 
     The shared online loop (model.run_online) with the window's elite
     rule: window_step, inlined as one push and, after warm-up, one
-    threshold per sample. The window's settled_value is the loop's
+    threshold per sample. The window's holds_one_value is the loop's
     settled test: once the buffer holds N copies of one nonzero value,
     the loop may finish the samples that repeat it in bulk, without
     calling fn or this rule, which they would leave unchanged. Whether it
@@ -176,5 +174,5 @@ def run_online_window(config: OnlineConfig, obj: Objective, rng: RngStream) -> R
 
     return run_online(
         "window", config, obj, rng, TraceRecorder, is_elite, lambda: (gamma, None),
-        window.settled_value,
+        window.holds_one_value,
     )

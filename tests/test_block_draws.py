@@ -4,12 +4,14 @@ The window and memoryless engines draw their uniforms in blocks of rows
 (inside model.run_online) and evaluate one consumed row at a time with
 `Objective.fn`. Nothing a run returns may depend on the block size, the
 objective is called exactly once per step outside a window's settled
-stretches and never inside one, and a non-finite value is reported at
-the draw that produced it. Likewise, no engine's RunTrace
+stretches and never inside one (once per distinct row in a run that
+keeps a value memo), and a non-finite value is reported at the draw
+that produced it. Likewise, no engine's RunTrace
 may depend on the size of the TraceRecorder's update-log block.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -150,13 +152,24 @@ def counted(obj):
     calls = []
 
     def fn(bits):
-        calls.append(1)
+        calls.append(bits.tobytes())
         return obj.fn(bits)
 
     def batch_fn(batch):
         raise AssertionError("online engines evaluate with fn")
 
     return Objective(obj.name, obj.n, fn, batch_fn, obj.optimal_bits, obj.optimal_value), calls
+
+
+def drawn_rows(engine, cfg, obj, seed):
+    """The bytes of every step's row, replayed with draw_sample from the
+    parameters before each step (the snapshots of a stride-1 run)."""
+    run = engine(replace(cfg, snapshot_stride=1), obj, RngStream(seed))
+    rng = RngStream(seed)
+    return [
+        draw_sample(BernoulliParams(run.snapshots[t].params), rng).tobytes()
+        for t in range(run.steps)
+    ]
 
 
 def watch_stretches(mp):
@@ -173,15 +186,32 @@ def watch_stretches(mp):
     return stretch_rows
 
 
+# 2^6 rows <= K // 4: these runs keep a value memo (model.run_online).
+TRAP_6 = make_objective(ProblemSpec(kind="trap_k", n=6, k=3))
+MEMO_CASES = {"window_memo": window(), "memoryless_memo": memoryless()}
+
+
 @pytest.mark.parametrize(
-    "case", ["window", "memoryless_gauss", "window_eps", "memoryless_eps", "window_settled"]
+    "case",
+    ["window", "memoryless_gauss", "window_eps", "memoryless_eps", "window_settled", *MEMO_CASES],
 )
 def test_fn_called_once_per_step(monkeypatch, case):
     # Once per step outside a settled stretch; a stretch row calls none.
-    (engine, cfg), seed = EPS_CASES[case] if case in EPS_CASES else (CASES[case], 3)
+    # A run with a value memo calls it once per distinct row, at the
+    # row's first draw.
+    if case in MEMO_CASES:
+        (engine, cfg), seed, problem = MEMO_CASES[case], 3, TRAP_6
+    else:
+        (engine, cfg), seed = EPS_CASES[case] if case in EPS_CASES else (CASES[case], 3)
+        problem = TRAP
     stretch_rows = watch_stretches(monkeypatch)
-    obj, calls = counted(TRAP)
+    obj, calls = counted(problem)
     run = engine(cfg, obj, RngStream(seed))
+    if case in MEMO_CASES:
+        rows = drawn_rows(engine, cfg, problem, seed)
+        assert len(rows) == run.steps == cfg.K
+        assert calls == list(dict.fromkeys(rows)) and len(calls) <= 2**problem.n
+        return
     assert len(calls) + sum(stretch_rows) == run.steps
     if case in EPS_CASES:
         assert run.steps < cfg.K

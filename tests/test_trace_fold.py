@@ -747,8 +747,11 @@ def test_moving_one_drawn_against_its_own_path(monkeypatch, below, breaks):
 
 @pytest.mark.parametrize("alpha, seed", [(0.9, 3), (0.2, 1)])
 def test_stretch_rows_call_no_fn(monkeypatch, alpha, seed):
-    # fn is called on every step outside a stretch and on none inside
-    # one: the calls and the stretches tile the run's steps in order.
+    # fn is called on the first draw of each row outside a stretch, and
+    # on no other step: stretch rows and repeated rows (the run's value
+    # memo; trap_5_10 has 2^10 <= K // 4 rows) take no call. The rows
+    # replayed with draw_sample show that the calls, the memo hits and
+    # the stretches tile the run's steps in order.
     cfg = OnlineConfig(N=100, rho=0.1, alpha=alpha, K=5000)
     events = []
     updates_applied = TraceRecorder.updates_applied
@@ -758,22 +761,45 @@ def test_stretch_rows_call_no_fn(monkeypatch, alpha, seed):
         updates_applied(self, params, step, gamma, delta)
 
     def fn(bits):
-        events.append(None)
+        events.append(bits.tobytes())
         return TRAP_5_10.fn(bits)
 
     monkeypatch.setattr(TraceRecorder, "updates_applied", spy)
     obj = Objective("counted", TRAP_5_10.n, fn, None, TRAP_5_10.optimal_bits, TRAP_5_10.optimal_value)
     run = run_online_window(cfg, obj, RngStream(seed))
-    t = 0
+    rows = []
+
+    def drawn(bits):
+        rows.append(bits.tobytes())
+        return TRAP_5_10.fn(bits)
+
+    replayed = Objective("drawn", TRAP_5_10.n, drawn, None, TRAP_5_10.optimal_bits, TRAP_5_10.optimal_value)
+    assert outcome(run) == replay_window(cfg, replayed, RngStream(seed))
+    seen, steps, t = set(), [], 0
     for event in events:
-        if event is None:
+        if isinstance(event, bytes):
+            # The steps before a call repeat rows already seen: memo hits.
+            while rows[t] in seen:
+                steps.append("hit")
+                t += 1
+            assert event == rows[t]
+            seen.add(event)
+            steps.append("call")
             t += 1
         else:
-            assert event[0] == t
-            t += event[1]
-    assert t == run.steps == cfg.K
-    assert events.count(None) < cfg.K // 2
-    assert outcome(run) == replay_window(cfg, TRAP_5_10, RngStream(seed))
+            first, m = event
+            while t < first:
+                assert rows[t] in seen
+                steps.append("hit")
+                t += 1
+            assert t == first and rows[t : t + m] == [rows[t - 1]] * m
+            steps += ["stretch"] * m
+            t += m
+    steps += ["hit"] * (len(rows) - t)
+    assert all(row in seen for row in rows[t:])
+    assert len(steps) == run.steps == cfg.K
+    assert steps.count("call") == len(seen) < cfg.K // 2
+    assert steps.count("hit") > 0 and steps.count("stretch") > 0
 
 
 # alpha1 = 2^-54 rounds 1 - alpha1 to 1.0, so a one at 0.5 stays put;

@@ -105,10 +105,10 @@ class TestSampleWindow:
         capacity=st.integers(1, 6),
         stream=st.lists(st.sampled_from([0.0, -0.0, 1.0, 2.5]), max_size=30),
     )
-    def test_settled_value(self, capacity, stream):
-        # The value of a full buffer whose slots all hold the same nonzero
-        # bits, else None. Pushing that value again leaves both buffers
-        # as they are, and it is every rank statistic.
+    def test_holds_one_value(self, capacity, stream):
+        # True exactly for a full buffer whose slots all hold the same
+        # nonzero bits v. Pushing v again leaves both buffers as they
+        # are, and v is every rank statistic.
         def bits(values):
             return [struct.pack("d", v) for v in values]
 
@@ -116,11 +116,10 @@ class TestSampleWindow:
         for v in stream:
             window.push(v)
             full_of_v = len(window) == capacity and set(bits(window._values)) == set(bits([v]))
-            settled = window.settled_value()
-            if not (full_of_v and v != 0.0):
-                assert settled is None
+            settled = window.holds_one_value()
+            assert settled is (full_of_v and v != 0.0)
+            if not settled:
                 continue
-            assert bits([settled]) == bits([v])
             before = bits(window._values), bits(window._sorted_values)
             window.push(v)
             assert (bits(window._values), bits(window._sorted_values)) == before
