@@ -28,10 +28,11 @@ with eps_conv = 1e-60, which stops the runs inside a stretch. Four more
 window configs on the same problem run at alpha = 0.2 and 0.05, each at
 snapshot_stride 1 and at the default stride: their stretches start
 while the ones of the settled row still creep toward their fixed points.
-Forty more configs keep the online engines' value memo on: every problem
-kind at n = 8, where K = 1040 = T * N holds at least 4 * 2^n steps, each
-as window and as memoryless, at snapshot_stride 1 and default and with
-eps_conv set and unset.
+Forty more configs repeat rows on most steps, so that the online engines'
+value memo answers most of them: every problem kind at n = 8, where
+K = 1040 = T * N holds at least 4 * 2^n steps, each as window and as
+memoryless, at snapshot_stride 1 and default and with eps_conv set and
+unset.
 The rejected grid (31 configs) gives each variant one out-of-range
 value of a key that variant reads, so the ref rejects it too; it guards
 the text of the config checks. Every (stdout, stderr, exit code) triple
@@ -119,7 +120,7 @@ EDGES = [
     ({"kind": "trap_k", "n": 258, "k": 129}, {}),
     ({"kind": "onemax", "n": 20}, {"T": 400, "K": 8000, "snapshot_stride": 1}),
 ]
-# Problems with 2^n <= K // 4 at K = 1040: their online runs keep a value memo.
+# Problems with 2^n <= K // 4 at K = 1040: their online runs mostly repeat rows.
 MEMO_PROBLEMS = [
     {"kind": "onemax", "n": 8},
     {"kind": "leading_ones", "n": 8},

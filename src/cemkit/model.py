@@ -88,10 +88,10 @@ class Objective:
 
     `fn` maps a single bit vector to a float, and must give the same
     value whenever it is called on the same row. The online engines call
-    it once per sample, except on the rows of a window's settled
-    stretch, which repeat a row already evaluated, and in a run whose
-    2^n rows are few against its K steps, which keeps a value memo and
-    calls it once per distinct row (see run_online). `batch_fn`,
+    it once per distinct row of a run, on the row's first draw: a run
+    keeps a value memo for the rows it repeats, and the rows of a
+    window's settled stretch repeat a row already evaluated (see
+    run_online). `batch_fn`,
     when present, maps an (m, n) uint8 matrix to an (m,) float vector;
     the batch engine and brute-force scans use it as a fast path. The
     two agree row by row: exactly for the integer-valued families
@@ -169,10 +169,8 @@ class RngStream:
 # Outputs do not depend on it.
 _DRAW_BLOCK_VALUES = 1 << 10
 
-# An online run keeps a value memo when its 2^n rows fit in both K //
-# _MEMO_STEPS_PER_ROW and _MEMO_ROWS: then at least 3 of 4 steps repeat
-# a row, and the memo stays bounded. Outputs do not depend on either.
-_MEMO_STEPS_PER_ROW = 4
+# Rows an online run's value memo holds at most; later new rows are
+# evaluated but not stored. Outputs do not depend on it.
 _MEMO_ROWS = 1 << 16
 
 
@@ -410,15 +408,12 @@ def run_online(
     together. Each comparison is a new array whose rows are passed on
     as uint8 views, so a row already handed out never changes.
 
-    Value memo. A run that can draw at most 2^n distinct rows, with
-    2^n <= min(K // _MEMO_STEPS_PER_ROW, _MEMO_ROWS), repeats a row on
-    at least three of four steps. Such a run keeps a memo from a row's
-    bytes to its value, so fn is called once per distinct row. The
-    first draw of a row goes through fn, the non-finite check and
-    offer_best, and only a finite value is stored. A later draw takes
-    the stored value, which is what fn would return, because obj is
-    deterministic; it is finite and cannot be a new best. Other runs
-    build no key.
+    Value memo. A run keeps a memo from a row's bytes to its value, so
+    fn is called once per distinct row. The first draw of a row goes
+    through fn, the non-finite check and offer_best, and only a finite
+    value is stored, while the memo holds fewer than _MEMO_ROWS rows.
+    A later draw takes the stored value, which is what fn would return,
+    because obj is deterministic; it is finite and cannot be a new best.
 
     Settled stretches. settled(), when given, tells whether the rule
     now holds a value v such that, after an elite step of value v,
@@ -455,8 +450,7 @@ def run_online(
     maybe_snapshot = recorder.maybe_snapshot
     probs = recorder.p0.probs.copy()
     n = probs.size
-    # Row bytes -> value, when the run must repeat rows.
-    memo = {} if bulk and (1 << n) <= min(K // _MEMO_STEPS_PER_ROW, _MEMO_ROWS) else None
+    memo = {} if bulk else None  # row bytes -> value
     fn = obj.fn
     isfinite = math.isfinite
     random, less, uint8 = rng.random, np.less, np.uint8
@@ -492,7 +486,8 @@ def run_online(
                 first = t
                 bits_from = less(u[t - start :], probs).view(uint8)
                 bits = bits_from[0]
-            value = None if memo is None else memo.get(bits.tobytes())
+            key = None if memo is None else bits.tobytes()
+            value = None if key is None else memo.get(key)
             if value is None:
                 value = float(fn(bits))
                 if not isfinite(value):
@@ -500,8 +495,8 @@ def run_online(
                 if value > best:
                     best = value
                     offer_best(bits, value, t)
-                if memo is not None:
-                    memo[bits.tobytes()] = value
+                if key is not None and len(memo) < _MEMO_ROWS:
+                    memo[key] = value
             elite = is_elite(t, value)
             if elite:
                 probs = probs * keep + toward(bits)

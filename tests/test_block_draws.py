@@ -3,11 +3,11 @@
 The window and memoryless engines draw their uniforms in blocks of rows
 (inside model.run_online) and evaluate one consumed row at a time with
 `Objective.fn`. Nothing a run returns may depend on the block size, the
-objective is called exactly once per step outside a window's settled
-stretches and never inside one (once per distinct row in a run that
-keeps a value memo), and a non-finite value is reported at the draw
-that produced it. Likewise, no engine's RunTrace
-may depend on the size of the TraceRecorder's update-log block.
+objective is called once per distinct row outside a window's settled
+stretches (the run's value memo answers repeated rows) and never inside
+one, and a non-finite value is reported at the draw that produced it.
+Likewise, no engine's RunTrace may depend on the size of the
+TraceRecorder's update-log block.
 """
 
 import math
@@ -173,63 +173,54 @@ def drawn_rows(engine, cfg, obj, seed):
 
 
 def watch_stretches(mp):
-    """A list that gets the row count of every updates_applied call (one
-    settled stretch each) of the runs started after."""
-    stretch_rows = []
+    """A list that gets (first step, row count) of every updates_applied
+    call (one settled stretch each) of the runs started after."""
+    stretches = []
     updates_applied = TraceRecorder.updates_applied
 
     def spy(self, params, step, gamma, delta):
-        stretch_rows.append(len(params))
+        stretches.append((step, len(params)))
         updates_applied(self, params, step, gamma, delta)
 
     mp.setattr(TraceRecorder, "updates_applied", spy)
-    return stretch_rows
+    return stretches
 
 
-# 2^6 rows <= K // 4: these runs keep a value memo (model.run_online).
 TRAP_6 = make_objective(ProblemSpec(kind="trap_k", n=6, k=3))
-MEMO_CASES = {"window_memo": window(), "memoryless_memo": memoryless()}
+# At n = 6 most steps repeat a row the run has already evaluated.
+SMALL_CASES = {"window_memo": window(), "memoryless_memo": memoryless()}
 
 
 @pytest.mark.parametrize(
     "case",
-    ["window", "memoryless_gauss", "window_eps", "memoryless_eps", "window_settled", *MEMO_CASES],
+    ["window", "memoryless_gauss", "window_eps", "memoryless_eps", "window_settled", *SMALL_CASES],
 )
 def test_fn_called_once_per_step(monkeypatch, case):
-    # Once per step outside a settled stretch; a stretch row calls none.
-    # A run with a value memo calls it once per distinct row, at the
-    # row's first draw.
-    if case in MEMO_CASES:
-        (engine, cfg), seed, problem = MEMO_CASES[case], 3, TRAP_6
+    # fn is called on the first draw of each row outside a settled
+    # stretch, and on no other step: a stretch row and a repeated row
+    # (the run's value memo) take no call. The calls, the memo hits and
+    # the stretches tile the run's steps.
+    if case in SMALL_CASES:
+        (engine, cfg), seed, problem = SMALL_CASES[case], 3, TRAP_6
     else:
         (engine, cfg), seed = EPS_CASES[case] if case in EPS_CASES else (CASES[case], 3)
         problem = TRAP
-    stretch_rows = watch_stretches(monkeypatch)
+    stretches = watch_stretches(monkeypatch)
     obj, calls = counted(problem)
     run = engine(cfg, obj, RngStream(seed))
-    if case in MEMO_CASES:
-        rows = drawn_rows(engine, cfg, problem, seed)
-        assert len(rows) == run.steps == cfg.K
-        assert calls == list(dict.fromkeys(rows)) and len(calls) <= 2**problem.n
-        return
-    assert len(calls) + sum(stretch_rows) == run.steps
+    stretch_steps = {t for first, m in stretches for t in range(first, first + m)}
+    stretches.clear()
+    rows = drawn_rows(engine, cfg, problem, seed)
+    loop_rows = [row for t, row in enumerate(rows) if t not in stretch_steps]
+    assert calls == list(dict.fromkeys(loop_rows))
+    assert len(loop_rows) + len(stretch_steps) == len(rows) == run.steps
+    assert len(calls) < run.steps
     if case in EPS_CASES:
         assert run.steps < cfg.K
     if case == "window_settled":
-        assert sum(stretch_rows) > run.steps // 2
-
-
-def nan_at(draw, n=10):
-    """Objective that returns NaN on its call number draw + 1: at draw
-    `draw` when no settled stretch, which calls it on none of its rows,
-    comes before that draw."""
-    calls = []
-
-    def fn(bits):
-        calls.append(1)
-        return math.nan if len(calls) == draw + 1 else float(bits.sum())
-
-    return Objective(name="nan_at", n=n, fn=fn)
+        assert len(stretch_steps) > run.steps // 2
+    if case in SMALL_CASES:
+        assert run.steps == cfg.K and len(calls) <= 2**problem.n
 
 
 B = default_rows(10)
@@ -239,16 +230,28 @@ B = default_rows(10)
 @pytest.mark.parametrize(
     "variant, engine, cfg",
     [
-        # At alpha 0.1 the window takes no stretch within these draws; at
-        # 0.5 it takes one from draw B on.
+        # The window takes no stretch within these draws (asserted).
         ("window", run_online_window, OnlineConfig(N=20, rho=0.1, alpha=0.1, K=3 * B)),
         ("memoryless", run_memoryless, MemorylessConfig(N=20, rho=0.1, alpha=0.5, K=3 * B)),
     ],
 )
 def test_non_finite_value_named_at_its_draw(monkeypatch, variant, engine, cfg, draw):
+    # n = 200 in blocks of B rows: the same block edges as n = 10 at the
+    # default size, and rows that do not repeat. The objective is NaN on
+    # the row replayed at draw `draw` alone and onemax elsewhere, so it
+    # agrees with onemax on every earlier row.
+    n = 200
+    monkeypatch.setattr(model, "_DRAW_BLOCK_VALUES", B * n)
+    onemax = Objective(name="onemax", n=n, fn=lambda bits: float(bits.sum()))
+    rows = drawn_rows(engine, cfg, onemax, 1)
+    assert rows.index(rows[draw]) == draw
+
+    def fn(bits):
+        return math.nan if bits.tobytes() == rows[draw] else float(bits.sum())
+
     stretch_rows = watch_stretches(monkeypatch)
     with pytest.raises(DomainError) as info:
-        engine(cfg, nan_at(draw), RngStream(1))
+        engine(cfg, Objective(name="nan_row", n=n, fn=fn), RngStream(1))
     assert not stretch_rows
     assert str(info.value) == (
         f"{variant}: objective returned the non-finite value nan at draw {draw}"
@@ -259,9 +262,10 @@ def test_non_finite_value_named_at_its_draw(monkeypatch, variant, engine, cfg, d
 @pytest.mark.parametrize("rows", [1, 3, None])
 def test_sampler_rows_equal_per_step_draws(monkeypatch, rows, update_rate):
     # A scripted elite rule updates at random steps, rarely, often or
-    # nearly always. Every row fn is handed must equal a fresh
-    # draw_sample at that step, replayed with online_update at the same
-    # steps, and no row may change later.
+    # nearly always. fn is handed the row of each step that draws a row
+    # for the first time (the run's value memo answers the others), and
+    # that row must equal a fresh draw_sample at that step, replayed
+    # with online_update at the same steps; no row may change later.
     n, count = 6, 200
     monkeypatch.setattr(model, "_DRAW_BLOCK_VALUES", DEFAULT_VALUES if rows is None else rows * n)
     script = (np.random.default_rng(9).random(count) < update_rate).tolist()
@@ -271,19 +275,26 @@ def test_sampler_rows_equal_per_step_draws(monkeypatch, rows, update_rate):
         expected.append(draw_sample(params, reference))
         if elite:
             params = online_update(expected[-1], params, cfg.alpha1)
-    kept = []
+    first_steps = list({row.tobytes(): t for t, row in reversed(list(enumerate(expected)))}.values())
+    kept, decided = [], []
 
     def fn(bits):
-        want = expected[len(kept)]
+        want = expected[len(decided)]
         assert bits.dtype == np.uint8 and np.array_equal(bits, want)
         kept.append(bits)
         return float(bits.sum())
 
+    def is_elite(t, value):
+        assert t == len(decided) and value == expected[t].sum()
+        decided.append(t)
+        return script[t]
+
     run = model.run_online(
         "window", cfg, Objective(name="keep_rows", n=n, fn=fn), RngStream(4),
-        TraceRecorder, lambda t, value: script[t], lambda: (None, None),
+        TraceRecorder, is_elite, lambda: (None, None),
     )
-    assert len(kept) == run.steps == count and run.update_count == sum(script)
+    assert len(decided) == run.steps == count and run.update_count == sum(script)
+    assert len(kept) == len(first_steps) < count
     assert run.final_params.probs.tobytes() == params.probs.tobytes()
-    for row, want in zip(kept, expected):
-        assert row.dtype == np.uint8 and np.array_equal(row, want)
+    for row, t in zip(kept, sorted(first_steps)):
+        assert row.dtype == np.uint8 and np.array_equal(row, expected[t])

@@ -52,7 +52,7 @@ def _first_nan_draw(variant, run, cfg, seed, n=6):
     return None
 
 
-# At n = 6 and K = 500 the online engines keep a value memo (model.run_online).
+# At n = 6 and K = 500 most online steps repeat a row: the value memo answers them.
 @pytest.mark.parametrize(
     "variant, run, cfg",
     [

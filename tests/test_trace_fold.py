@@ -749,9 +749,9 @@ def test_moving_one_drawn_against_its_own_path(monkeypatch, below, breaks):
 def test_stretch_rows_call_no_fn(monkeypatch, alpha, seed):
     # fn is called on the first draw of each row outside a stretch, and
     # on no other step: stretch rows and repeated rows (the run's value
-    # memo; trap_5_10 has 2^10 <= K // 4 rows) take no call. The rows
-    # replayed with draw_sample show that the calls, the memo hits and
-    # the stretches tile the run's steps in order.
+    # memo) take no call. The rows replayed with draw_sample show that
+    # the calls, the memo hits and the stretches tile the run's steps in
+    # order.
     cfg = OnlineConfig(N=100, rho=0.1, alpha=alpha, K=5000)
     events = []
     updates_applied = TraceRecorder.updates_applied

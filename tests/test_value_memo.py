@@ -1,8 +1,8 @@
 """The online engines' value memo (model.run_online).
 
-A run whose 2^n rows fit in min(K // 4, 2^16) keeps a memo from a row's
-bytes to its value and calls `fn` once per distinct row. Its outputs are
-those of a run that calls `fn` on every step: the same run under a
+An online run keeps a memo from a row's bytes to its value, up to
+model._MEMO_ROWS rows, and calls `fn` once per distinct row. Its outputs
+are those of a run that calls `fn` on every step: the same run under a
 recorder that overrides a per-step hook, which turns the memo off.
 """
 
@@ -115,37 +115,28 @@ def test_memo_run_equals_per_step_run(monkeypatch, variant, problem, eps_conv, s
 ONEMAX_6 = make_objective(PROBLEMS["onemax"])
 
 
-@pytest.mark.parametrize("K, on", [(4 * 2**6 - 1, False), (4 * 2**6, True)])
-@pytest.mark.parametrize("variant", sorted(ENGINES))
-def test_memo_gate_edge(monkeypatch, variant, K, on):
-    # On exactly when 2^n <= K // 4. Off, fn is called on every step
-    # but a window's stretch rows.
-    engine, config, _ = ENGINES[variant]
-    stretch_rows = []
-    updates_applied = TraceRecorder.updates_applied
-
-    def spy(self, params, step, gamma, delta):
-        stretch_rows.append(len(params))
-        updates_applied(self, params, step, gamma, delta)
-
-    monkeypatch.setattr(TraceRecorder, "updates_applied", spy)
+@pytest.mark.parametrize("cap", [0, 5, 2**6])
+def test_memo_row_cap(monkeypatch, cap):
+    # The memo stores the first `cap` distinct rows and no more: a later
+    # new row is evaluated on each of its draws. At cap 0 fn is called
+    # on every step.
+    monkeypatch.setattr(model, "_MEMO_ROWS", cap)
+    cfg = MemorylessConfig(N=20, rho=0.1, alpha=0.1, K=1000)
     obj, calls = counted(ONEMAX_6)
-    run = engine(config(N=20, rho=0.1, alpha=0.3, K=K), obj, RngStream(2))
-    assert run.steps == K
-    if on:
-        assert calls == list(dict.fromkeys(calls)) and len(calls) <= 2**6
-    else:
-        assert len(set(calls)) < len(calls) == K - sum(stretch_rows)
-
-
-@pytest.mark.parametrize("rows, on", [(2**6 - 1, False), (2**6, True)])
-def test_memo_row_cap(monkeypatch, rows, on):
-    # The memo holds at most _MEMO_ROWS rows: above that it is off.
-    monkeypatch.setattr(model, "_MEMO_ROWS", rows)
-    obj, calls = counted(ONEMAX_6)
-    run = run_memoryless(MemorylessConfig(N=20, rho=0.1, alpha=0.3, K=1000), obj, RngStream(2))
-    assert (len(calls) < run.steps) == on
-    assert (len(calls) == len(set(calls))) == on
+    run = run_memoryless(cfg, obj, RngStream(3))
+    rows = drawn_rows(run_memoryless, cfg, ONEMAX_6, 3)
+    stored, expected = set(), []
+    for row in rows:
+        if row not in stored:
+            expected.append(row)
+            if len(stored) < cap:
+                stored.add(row)
+    assert calls == expected
+    # The first row turned away is drawn again, so storing it would show.
+    distinct = list(dict.fromkeys(rows))
+    assert cap == 2**6 > len(distinct) or rows.count(distinct[cap]) > 1
+    assert (len(calls) == run.steps) == (cap == 0)
+    assert (calls == list(dict.fromkeys(calls))) == (cap == 2**6)
 
 
 @pytest.mark.parametrize("variant", sorted(ENGINES))
