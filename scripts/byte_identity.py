@@ -6,13 +6,13 @@ Extracts `git archive REF` into a temporary directory, then runs the same
 CLI commands against both source trees: `run`, `compare`, `sweep-alpha`
 and `calibrate-delta0` (at 10000 repetitions), each as CSV and as JSON,
 plus `config-dump`, over two fixed grids of configs: nine commands on each
-of 151 configs, 1359 triples. The valid grid covers five problem kinds x three
+of 159 configs, 1431 triples. The valid grid covers five problem kinds x three
 variants x snapshot_stride 1 and default x eps_conv set and unset (60
 configs); the memoryless configs cycle through the three delta
 estimators, a pinned gamma0 and a delta_min above 0. Twelve more valid
 configs, six problems each for window and for memoryless, reach the
 edges of the online engines' block draws, of the trap kernel's byte
-lanes and of the trace's storage blocks: onemax with n = 1030 (one row
+lanes and of the trace's storage blocks: onemax with n = 8200 (one row
 per draw block and per trace log block), trap_k with n = 100 (ten rows
 per draw block), a maxcut with n = 20 shaped like the benchmark's
 `cli_maxcut` (60 edges, N=100, T=30, K=3000, snapshot_stride 1), trap_k
@@ -32,7 +32,11 @@ Forty more configs repeat rows on most steps, so that the online engines'
 value memo answers most of them: every problem kind at n = 8, where
 K = 1040 = T * N holds at least 4 * 2^n steps, each as window and as
 memoryless, at snapshot_stride 1 and default and with eps_conv set and
-unset.
+unset. Eight more configs on trap_k with n = 10, k = 5 at alpha = 0.9,
+N = 82 and K = 5002 = T * N (which ends within a draw block), window
+and memoryless, at snapshot_stride 7 and 150 and with eps_conv = 1e-12
+set and unset, leave stride steps pending across draw blocks, settled
+stretches and early stops.
 The rejected grid (31 configs) gives each variant one out-of-range
 value of a key that variant reads, so the ref rejects it too; it guards
 the text of the config checks. Every (stdout, stderr, exit code) triple
@@ -113,7 +117,7 @@ MAXCUT_20 = {
 }
 # (problem, settings) of the edge configs; each runs as window and as memoryless.
 EDGES = [
-    ({"kind": "onemax", "n": 1030}, {}),
+    ({"kind": "onemax", "n": 8200}, {}),
     ({"kind": "trap_k", "n": 100, "k": 5}, {}),
     (MAXCUT_20, {"N": 100, "T": 30, "K": 3000, "snapshot_stride": 1}),
     ({"kind": "trap_k", "n": 256, "k": 128}, {}),
@@ -143,7 +147,7 @@ COMMANDS = (
 
 
 def grid():
-    """The 120 valid configs, each a plain dict ready for json.dump."""
+    """The 128 valid configs, each a plain dict ready for json.dump."""
     memoryless = itertools.cycle(ESTIMATORS)
     out = []
     for i, (problem, variant, stride, eps) in enumerate(
@@ -187,6 +191,18 @@ def grid():
             "N": 100, "rho": 0.1, "alpha": alpha, "T": 50, "K": 5000,
             "replicates": 3, "base_seed": 3100 + 7 * i, "alphas": [alpha, 0.5], "jobs": 1,
             "snapshot_stride": stride,
+        })
+    # K = 5002 = 82 * 61 ends within a draw block and is a multiple of
+    # neither stride, and strides 7 and 150 leave stride steps pending
+    # across draw blocks, settled stretches and early stops.
+    for i, (variant, stride, eps) in enumerate(
+        itertools.product(("window", "memoryless"), (7, 150), (1e-12, None))
+    ):
+        out.append({
+            "problem": PROBLEMS[2], "variant": variant,
+            "N": 82, "rho": 0.1, "alpha": 0.9, "T": 61, "K": 5002,
+            "replicates": 3, "base_seed": 3200 + 7 * i, "alphas": [0.9, 0.2], "jobs": 1,
+            "snapshot_stride": stride, "eps_conv": eps,
         })
     for i, (problem, variant, stride, eps) in enumerate(
         itertools.product(MEMO_PROBLEMS, ("window", "memoryless"), (1, None), (0.01, None))

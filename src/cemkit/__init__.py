@@ -13,6 +13,7 @@ from .diagnostics import (
     miss_probability_bound,
     param_envelope,
     phi,
+    phi_series,
 )
 from .errors import CapacityError, ConfigError, DimensionError, DomainError
 from .harness import (
@@ -72,6 +73,7 @@ __all__ = [
     "miss_probability_bound",
     "param_envelope",
     "phi",
+    "phi_series",
     "CapacityError",
     "ConfigError",
     "DimensionError",

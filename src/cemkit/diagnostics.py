@@ -15,7 +15,8 @@ A report over a finished trace checks every snapshot against the
 envelope (violations indicate a broken update rule, zero is the only
 acceptable count), locates 0/1 absorption, and decides whether the run
 generated the known optimum. Everything else a run did (its final
-parameters, first hit and sign changes) stays on the RunTrace.
+parameters, first hit and sign changes) stays on the RunTrace;
+phi_series gives phi at every snapshot on demand.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
     "geometric_tail_sum",
     "miss_probability_bound",
     "analyze",
+    "phi_series",
 ]
 
 # Slack when testing snapshot parameters against the closed-form band;
@@ -108,8 +110,24 @@ class ConvergenceReport:
     optimum_known: bool
     optimum_generated: Optional[bool]
     envelope_violations: int
-    phi_series: Optional[List[Tuple[int, float]]]
     miss_bound: Optional[float]
+
+
+def _target(trace: RunTrace, x_star) -> np.ndarray:
+    x = np.asarray(x_star)
+    if x.shape != (trace.n,):
+        raise DimensionError(f"target of length {x.size}, params of length {trace.n}")
+    return x
+
+
+def phi_series(trace: RunTrace, x_star: np.ndarray) -> List[Tuple[int, float]]:
+    """(step, phi(params, x_star)) at every snapshot of trace, worked out
+    one storage block of parameter rows at a time."""
+    x = _target(trace, x_star)
+    values: List[float] = []
+    for p in trace.snapshots.param_blocks():
+        values += np.prod(np.where(x == 1, p, 1.0 - p), axis=1).tolist()
+    return list(zip(trace.snapshots.step, values))
 
 
 def analyze(trace: RunTrace, obj: Objective, eps_binary: float = 1e-3) -> ConvergenceReport:
@@ -120,12 +138,13 @@ def analyze(trace: RunTrace, obj: Objective, eps_binary: float = 1e-3) -> Conver
     after u updates is the correct comparison at any step. Absorption
     is located at snapshot resolution (the first snapshot where every
     component sits within eps_binary of 0 or 1). Optimum-related fields
-    are None when the objective carries no optimum metadata.
+    are None when the objective carries no optimum metadata; the miss
+    bound takes phi1 from the first snapshot.
 
     Snapshots are checked by array operations on the trace's blocks of
     parameter rows, about 2^13 values at a time, so each temporary stays
-    near 64 KB; param_envelope and phi are the per-snapshot specification
-    these operations reproduce exactly.
+    near 64 KB; param_envelope is the per-snapshot specification these
+    operations reproduce exactly.
     """
     if not 0.0 < eps_binary < 0.5:
         raise ValueError(f"eps_binary must be in (0,0.5), got {eps_binary}")
@@ -134,17 +153,14 @@ def analyze(trace: RunTrace, obj: Objective, eps_binary: float = 1e-3) -> Conver
     snaps = trace.snapshots
     optimum_known = obj.optimal_bits is not None and obj.optimal_value is not None
     if optimum_known:
-        x_star = np.asarray(obj.optimal_bits)
-        if x_star.shape != (trace.n,):
-            raise DimensionError(f"target of length {x_star.size}, params of length {trace.n}")
+        x_star = _target(trace, obj.optimal_bits)
 
     # The band of param_envelope for every snapshot. The shrink factor
     # is Python's ** (as in param_envelope), once per update count.
-    shrink_of = {u: (1.0 - trace.alpha1) ** u for u in set(snaps.update_count)}
-    shrink = np.array([shrink_of[u] for u in snaps.update_count])[:, None]
+    counts, inverse = np.unique(snaps.update_count, return_inverse=True)
+    shrink = np.array([(1.0 - trace.alpha1) ** u for u in counts.tolist()])[inverse][:, None]
     violations = 0
     first_absorbed: Optional[int] = None
-    phis: List[float] = []
     # One storage block at a time bounds the scratch memory of long traces.
     start = 0
     for p in snaps.param_blocks():
@@ -156,17 +172,13 @@ def analyze(trace: RunTrace, obj: Objective, eps_binary: float = 1e-3) -> Conver
             absorbed = np.all((p <= eps_binary) | (p >= 1.0 - eps_binary), axis=1)
             if absorbed.any():
                 first_absorbed = start + int(absorbed.argmax())
-        if optimum_known:
-            phis += np.prod(np.where(x_star == 1, p, 1.0 - p), axis=1).tolist()
         start += len(p)
     converged_step = None if first_absorbed is None else snaps.step[first_absorbed]
 
-    phi_series: Optional[List[Tuple[int, float]]] = None
     miss_bound: Optional[float] = None
     optimum_generated: Optional[bool] = None
     if optimum_known:
-        phi_series = list(zip(snaps.step, phis))
-        phi1 = phi_series[0][1]
+        phi1 = phi(BernoulliParams(snaps[0].params), x_star)
         miss_bound = (1.0 - phi1) * miss_probability_bound(phi1, trace.alpha1, trace.n)
         optimum_generated = trace.first_hit_step is not None
 
@@ -176,6 +188,5 @@ def analyze(trace: RunTrace, obj: Objective, eps_binary: float = 1e-3) -> Conver
         optimum_known=optimum_known,
         optimum_generated=optimum_generated,
         envelope_violations=violations,
-        phi_series=phi_series,
         miss_bound=miss_bound,
     )

@@ -432,11 +432,21 @@ def run_online(
     stretch. The window engine passes its holds_one_value test; the
     memoryless rule, whose threshold moves on every step, passes none.
 
-    The recorder is the one switch for both: a recorder_class that
+    Snapshots in bulk. The loop appends state() at each stride step to
+    a list and hands the list to the recorder's stride_snapshots in one
+    call: at each block end, and before each recorder call that changes
+    its counts or best (offer_best, update_applied, finish; a stretch
+    starts a block, so the list is empty then). Each pending snapshot
+    thus sees the counts and best of its own step.
+
+    The recorder is the one switch for these: a recorder_class that
     overrides update_applied or maybe_snapshot and not updates_applied
-    takes no stretch and keeps no memo (bulk_covers), so that it still
-    sees one fn call per step, one call per update and per stride step,
-    and the run's window sees every push and threshold call.
+    takes no stretch and keeps no memo, and one that overrides
+    maybe_snapshot and not stride_snapshots gets one maybe_snapshot call
+    per stride step, in the same order with the other calls
+    (bulk_covers). So it still sees one fn call per step, one call per
+    update and per stride step, and the run's window sees every push
+    and threshold call.
 
     config is an OnlineConfig or a MemorylessConfig; eps_conv set stops
     the run early on 0/1 absorption.
@@ -447,7 +457,22 @@ def run_online(
         settled = None
     alpha1, stride, K = config.alpha1, config.stride, config.K
     offer_best, update_applied = recorder.offer_best, recorder.update_applied
-    maybe_snapshot = recorder.maybe_snapshot
+    if bulk_covers(recorder_class, "stride_snapshots", ("maybe_snapshot",)):
+        take = recorder.stride_snapshots
+    else:
+        maybe_snapshot = recorder.maybe_snapshot
+
+        def take(step, states):
+            s = step - step % stride - len(states) * stride
+            for gamma, delta in states:
+                s += stride
+                maybe_snapshot(s, gamma, delta)
+    states = []  # state() at the stride steps not yet handed to take
+
+    def flush(step):
+        take(step, states)
+        states.clear()
+
     probs = recorder.p0.probs.copy()
     n = probs.size
     memo = {} if bulk else None  # row bytes -> value
@@ -494,6 +519,8 @@ def run_online(
                     check_finite(variant, (value,), t)
                 if value > best:
                     best = value
+                    if states:
+                        flush(t)
                     offer_best(bits, value, t)
                 if key is not None and len(memo) < _MEMO_ROWS:
                     memo[key] = value
@@ -501,11 +528,16 @@ def run_online(
             if elite:
                 probs = probs * keep + toward(bits)
                 bits_from = None
+                if states:
+                    flush(t)
                 update_applied(probs)
             if (t + 1) % stride == 0:
-                gamma, delta = state()
-                maybe_snapshot(t + 1, gamma, delta)
+                states.append(state())
             if elite and eps is not None and is_absorbed(probs, eps):
+                if states:
+                    flush(t + 1)
                 return recorder.finish(t + 1, *state())
+        if states:
+            flush(end)
         t = end
     return recorder.finish(K, *state())

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, List, Optional
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,7 +54,7 @@ _BLOCK_VALUES = 1 << 13
 # Parameter values per block of a TraceRecorder's update log (whole
 # updates, at least one). The log and the pending snapshots are folded
 # into sign-change counts and table rows once per block.
-_LOG_BLOCK_VALUES = 1 << 11
+_LOG_BLOCK_VALUES = 1 << 13
 _SCALAR_COLUMNS = ("step", "gamma", "delta", "best_value", "update_count", "elite_decisions")
 
 
@@ -194,12 +194,15 @@ class TraceRecorder:
     previous nonzero increment.
 
     Recording a step costs almost nothing: an update copies its
-    parameter vector into the next row of a fixed-size log block, and a
-    snapshot appends its scalar fields and the index of the log row it
-    refers to. The sign changes and the snapshots' rows are worked out
-    by one array-wide fold (_fold) when the log block fills, when the
-    pending snapshots reach one block, and on every read of
-    sign_changes or _snapshots, so no result depends on the block size.
+    parameter vector into the next row of a fixed-size log block, and
+    pending snapshots are kept by column, so stride_snapshots and
+    updates_applied add many of them with one list.extend per column
+    (of a range or a repeat) and build no tuple per snapshot. A
+    snapshot's log row follows from its update count. The sign changes
+    and the snapshots' rows are worked out by one array-wide fold
+    (_fold) when the log block fills, when the pending snapshots reach
+    one block, and on every read of sign_changes or _snapshots, so no
+    result depends on the block size.
     """
 
     def __init__(
@@ -237,8 +240,12 @@ class TraceRecorder:
         # and the change counts, as of log row 0.
         self._last_sign = np.zeros(n)
         self._sign_changes = np.zeros(n, dtype=np.int64)
-        # (step, gamma, delta, best_value, update_count, elite_decisions, log row)
-        self._pending: List[tuple] = []
+        # The pending snapshots by column: steps, (gamma, delta) pairs,
+        # best values, update counts and elite counts. A snapshot's log
+        # row is its update count less the count at log row 0.
+        self._pending = (
+            self._pend_step, self._pend_state, self._pend_best, self._pend_updates, self._pend_elites,
+        ) = ([], [], [], [], [])
         self.update_count = 0
         self.elite_decisions = 0
         self.best: Optional[EvaluatedSample] = None
@@ -277,23 +284,29 @@ class TraceRecorder:
         every row in turn, written a log-block slice at a time.
         """
         best = None if self.best is None else self.best.value
+        state = (gamma, delta)
         stride, i, m = self.stride, 0, len(params)
         while i < m:
             # Fill the log block at most, and take at most as many
             # snapshots as the pending block has room for.
-            r, done, room = self._rows, step + i, self._log_rows - len(self._pending)
+            r, done, room = self._rows, step + i, self._log_rows - len(self._pend_step)
             c = min(m - i, self._log_rows - r, (done // stride + room) * stride - done)
             self._log[r + 1 : r + 1 + c] = params[i : i + c]
+            # Snapshot steps s in (done, done + c]; at step s the counts
+            # have grown by s - done.
+            first, stop = (done // stride + 1) * stride, done + c + 1
+            steps = range(first, stop, stride)
             updates, elites = self.update_count - done, self.elite_decisions - done
-            self._pending.extend(
-                (s, gamma, delta, best, updates + s, elites + s, r - done + s)
-                for s in range((done // stride + 1) * stride, done + c + 1, stride)
-            )
+            self._pend_step.extend(steps)
+            self._pend_state.extend([state] * len(steps))
+            self._pend_best.extend([best] * len(steps))
+            self._pend_updates.extend(range(updates + first, updates + stop, stride))
+            self._pend_elites.extend(range(elites + first, elites + stop, stride))
             self._rows = r + c
             self.update_count += c
             self.elite_decisions += c
             i += c
-            if self._rows == self._log_rows or len(self._pending) == self._log_rows:
+            if self._rows == self._log_rows or len(self._pend_step) == self._log_rows:
                 self._fold()
 
     def _fold(self) -> None:
@@ -314,11 +327,15 @@ class TraceRecorder:
         counts[0] = self._sign_changes
         np.cumsum(signs[1:] * held[:-1] < 0.0, axis=0, out=counts[1:])
         counts[1:] += counts[0]
-        if self._pending:
-            scalars = list(zip(*self._pending))
-            at = list(scalars.pop())
-            self._table.extend(log[at], counts[at], *scalars)
-            self._pending.clear()
+        if self._pend_step:
+            at = np.array(self._pend_updates) - (self.update_count - r)
+            gamma, delta = zip(*self._pend_state)
+            self._table.extend(
+                log[at], counts[at], self._pend_step, gamma, delta, self._pend_best,
+                self._pend_updates, self._pend_elites,
+            )
+            for column in self._pending:
+                column.clear()
         self._last_sign = held[r]
         self._sign_changes = counts[r]
         self._log[0] = log[r]
@@ -339,12 +356,37 @@ class TraceRecorder:
         if step % self.stride == 0:
             self._snapshot(step, gamma, delta)
 
+    def stride_snapshots(
+        self, step: int, states: Sequence[Tuple[Optional[float], Optional[float]]]
+    ) -> None:
+        """Record the snapshots of the last len(states) stride steps up
+        to step, the i-th at (gamma, delta) = states[i]: the same record
+        as maybe_snapshot(s, *states[i]) for each of those steps s in
+        turn, with no tuple built per snapshot.
+        """
+        stride, m = self.stride, len(states)
+        last = step - step % stride
+        room = self._log_rows - len(self._pend_step)
+        if m > room:
+            # Fill the pending block, which folds it, then take the rest.
+            self.stride_snapshots(last - (m - room) * stride, states[:room])
+            self.stride_snapshots(step, states[room:])
+            return
+        self._pend_step.extend(range(last - (m - 1) * stride, last + 1, stride))
+        self._pend_state.extend(states)
+        self._pend_best.extend([None if self.best is None else self.best.value] * m)
+        self._pend_updates.extend([self.update_count] * m)
+        self._pend_elites.extend([self.elite_decisions] * m)
+        if m == room:
+            self._fold()
+
     def _snapshot(self, step: int, gamma: Optional[float], delta: Optional[float]) -> None:
-        self._pending.append((
-            step, gamma, delta, None if self.best is None else self.best.value,
-            self.update_count, self.elite_decisions, self._rows,
-        ))
-        if len(self._pending) == self._log_rows:
+        self._pend_step.append(step)
+        self._pend_state.append((gamma, delta))
+        self._pend_best.append(None if self.best is None else self.best.value)
+        self._pend_updates.append(self.update_count)
+        self._pend_elites.append(self.elite_decisions)
+        if len(self._pend_step) == self._log_rows:
             self._fold()
 
     def finish(self, steps: int, gamma: Optional[float], delta: Optional[float]) -> RunTrace:

@@ -1,11 +1,11 @@
-"""`analyze` against the per-snapshot loop it replaced.
+"""`analyze` and `phi_series` against the per-snapshot loop they replaced.
 
 The oracle walks the snapshots one by one with the scalar specification:
 param_envelope for the band at each snapshot's update count, phi for
 each snapshot's chance of drawing the optimum, and the first snapshot
-whose every component is within eps_binary of 0 or 1. Every field must
-come out equal, not merely close, also when the trace is stored in
-many blocks of rows.
+whose every component is within eps_binary of 0 or 1. Every field of
+the report and every phi of the series must come out equal, not merely
+close, also when the trace is stored in many blocks of rows.
 """
 
 import numpy as np
@@ -25,6 +25,7 @@ from cemkit import (
     miss_probability_bound,
     param_envelope,
     phi,
+    phi_series as phi_series_of,
     run_batch,
     run_memoryless,
     run_online_window,
@@ -58,8 +59,9 @@ def _assert_matches_oracle(trace, obj):
     assert rep.envelope_violations == violations
     assert rep.converged_step == converged_step
     assert rep.converged_binary == (converged_step is not None)
-    assert len(rep.phi_series) == len(phi_series)
-    for (step, value), (want_step, want_value) in zip(rep.phi_series, phi_series):
+    series = phi_series_of(trace, obj.optimal_bits)
+    assert len(series) == len(phi_series)
+    for (step, value), (want_step, want_value) in zip(series, phi_series):
         assert type(step) is int and type(value) is float
         assert (step, value) == (want_step, want_value)
     assert rep.miss_bound == miss_bound
@@ -187,3 +189,5 @@ def test_rejects_bad_step_size_and_mismatched_target():
     trace = run_online_window(OnlineConfig(N=10, rho=0.1, alpha=0.5, K=30), obj, RngStream(2))
     with pytest.raises(DimensionError):
         analyze(trace, make_objective(ProblemSpec(kind="onemax", n=5)))
+    with pytest.raises(DimensionError):
+        phi_series_of(trace, np.ones(5, dtype=np.uint8))

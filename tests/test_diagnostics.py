@@ -20,6 +20,7 @@ from cemkit import (
     negated,
     param_envelope,
     phi,
+    phi_series,
     run_batch,
     run_online_window,
 )
@@ -155,7 +156,7 @@ class TestAnalyze:
         assert rep.envelope_violations == 0
         assert rep.optimum_known
         # phi at step 0 is 2^-6 under the uniform start.
-        assert rep.phi_series[0] == (0, pytest.approx(2.0 ** -6, abs=1e-15))
+        assert phi_series(trace, obj.optimal_bits)[0] == (0, pytest.approx(2.0 ** -6, abs=1e-15))
         if rep.converged_binary:
             assert rep.converged_step is not None
         assert rep.miss_bound is not None
@@ -182,8 +183,9 @@ class TestAnalyze:
         # phi1 = 2^-1100 is 0.0 in floats: the bound is 1, not missing.
         obj = make_objective(ProblemSpec(kind="onemax", n=1100))
         cfg = BatchConfig(N=20, rho=0.1, alpha=0.7, T=2, eps_conv=None)
-        rep = analyze(run_batch(cfg, obj, RngStream(5)), obj)
-        assert rep.phi_series[0][1] == 0.0
+        trace = run_batch(cfg, obj, RngStream(5))
+        rep = analyze(trace, obj)
+        assert phi_series(trace, obj.optimal_bits)[0][1] == 0.0
         assert rep.miss_bound == 1.0
 
     def test_miss_bound_at_step_below_half_ulp_of_one(self):
@@ -204,7 +206,6 @@ class TestAnalyze:
         trace = run_online_window(cfg, obj, RngStream(4))
         rep = analyze(trace, obj)
         assert not rep.optimum_known
-        assert rep.phi_series is None
         assert rep.miss_bound is None
         assert rep.optimum_generated is None
 

@@ -201,6 +201,12 @@ def test_fold_matches_reference_for_random_updates(monkeypatch, rows, stride):
     assert final[0] > final[1:].max() > 0
 
 
+def pending_rows(rec):
+    """The log row of each pending snapshot: its update count less the
+    count at log row 0."""
+    return [u - (rec.update_count - rec._rows) for u in rec._pend_updates]
+
+
 def test_fold_on_a_snapshot_step(monkeypatch):
     n = 3
     set_log_rows(monkeypatch, 2, n)
@@ -212,12 +218,12 @@ def test_fold_on_a_snapshot_step(monkeypatch):
         if step == 2:
             # The second update filled the two-row block and folded it
             # before the snapshot of the same step was taken.
-            assert rec._rows == 0 and not rec._pending
+            assert rec._rows == 0 and not rec._pend_step
         for r in (rec, ref):
             r.maybe_snapshot(step, float(step), None)
         if step == 2:
             # That snapshot refers to row 0, the carried last update.
-            assert [p[-1] for p in rec._pending] == [0]
+            assert rec._pend_step == [2] and pending_rows(rec) == [0]
     assert snapshot_rows(rec._snapshots) == ref.snapshots
     assert rec.sign_changes.tolist() == ref.counts == [2, 1, 0]
     assert outcome(rec.finish(3, 3.0, None)) == ref.finish(3, 3.0, None)
@@ -272,10 +278,10 @@ def test_long_run_holds_at_most_one_block(monkeypatch):
         def _fold(self):
             seen["folds"] += 1
             seen["rows"] = max(seen["rows"], self._rows)
-            seen["pending"] = max(seen["pending"], len(self._pending))
+            seen["pending"] = max(seen["pending"], len(self._pend_step))
             TraceRecorder._fold(self)
 
-    obj = make_objective(ProblemSpec(kind="onemax", n=10))
+    obj = make_objective(ProblemSpec(kind="onemax", n=40))
     cfg = MemorylessConfig(N=40, rho=0.1, alpha=0.05, K=50_000, estimator="uniform_model")
     monkeypatch.setattr(memoryless, "TraceRecorder", Watched)
     run = run_memoryless(cfg, obj, RngStream(2))
@@ -302,7 +308,7 @@ class FoldWatch(TraceRecorder):
 
     def _fold(self):
         if self.in_bulk:
-            self.folds.append((self._rows, len(self._pending)))
+            self.folds.append((self._rows, len(self._pend_step)))
         TraceRecorder._fold(self)
 
 
@@ -375,6 +381,175 @@ def test_bulk_updates_fold_full_blocks(monkeypatch, stride, before, full):
         assert any(rows == 3 for rows, _ in folds)
     else:
         assert any(pending == 3 and rows < 3 for rows, pending in folds)
+
+
+# The bulk form of maybe_snapshot: stride_snapshots(step, states) takes
+# the snapshots of the last len(states) stride steps up to step, as
+# run_online hands them over: at block ends, and before each call that
+# changes the recorder's counts or best.
+
+def snapshot_state(step):
+    return (None if step % 4 == 0 else 0.5 * step, None if step % 3 else 0.25 * step)
+
+
+OPS = st.one_of(
+    st.tuples(st.just("steps"), st.integers(0, 12)),
+    st.tuples(st.just("update"), st.integers(1, 3)),
+    st.tuples(st.just("offer"), st.integers(0, 3)),
+    st.tuples(st.just("stretch"), st.integers(0, 15)),
+    st.tuples(st.sampled_from(["flush", "read"]), st.just(0)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    log_rows=st.sampled_from(LOG_ROWS),
+    table_rows=st.sampled_from([1, 2, 5, None]),
+    stride=st.sampled_from([1, 2, 5]),
+    ops=st.lists(OPS, max_size=40),
+    seed=st.integers(0, 30),
+)
+def test_bulk_snapshots_match_per_call_recording(log_rows, table_rows, stride, ops, seed):
+    # One recorder gets its stride snapshots through stride_snapshots
+    # and its stretches through updates_applied; a second one and the
+    # reference get one call per step. update_applied, offer_best and
+    # updates_applied interleave with them, and the small log, pending
+    # and table blocks fill and fold at every kind of edge.
+    n = 3
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        set_log_rows(mp, log_rows, n)
+        if table_rows is not None:
+            mp.setattr(trace_module, "_BLOCK_VALUES", table_rows * n)
+        bulk, ref = recorders(n, stride)
+        calls, _ = recorders(n, stride)
+        states, step = [], 0
+
+        def flush():
+            bulk.stride_snapshots(step, states)
+            states.clear()
+
+        for op, k in ops:
+            if op == "steps":
+                for s in range(step + 1, step + k + 1):
+                    if s % stride == 0:
+                        states.append(snapshot_state(s))
+                    for rec in (calls, ref):
+                        rec.maybe_snapshot(s, *snapshot_state(s))
+                step += k
+            elif op == "update":
+                flush()
+                row = rng.random(n)
+                for rec in (bulk, calls, ref):
+                    rec.update_applied(row, elites=k)
+            elif op == "offer":
+                flush()
+                offer = (rng.integers(0, 2, n).astype(np.uint8), float(k), step)
+                for rec in (bulk, calls, ref):
+                    rec.offer_best(*offer)
+            elif op == "stretch":
+                flush()
+                params, gamma = stretch_rows(rng, k, n), 0.5 * step
+                bulk.updates_applied(params, step, gamma, None)
+                for s, row in enumerate(params, step + 1):
+                    for rec in (calls, ref):
+                        rec.update_applied(row)
+                        rec.maybe_snapshot(s, gamma, None)
+                step += k
+            elif op == "flush":
+                flush()
+            else:
+                flush()
+                assert snapshot_rows(bulk._snapshots) == ref.snapshots
+            # Neither the log nor the pending snapshots ever hold a full block.
+            assert bulk._rows < bulk._log_rows and len(bulk._pend_step) < bulk._log_rows
+        flush()
+        want = ref.finish(step, 1.5, None)
+        assert outcome(bulk.finish(step, 1.5, None)) == want
+        assert outcome(calls.finish(step, 1.5, None)) == want
+
+
+def test_bulk_snapshots_fold_full_pending_blocks(monkeypatch):
+    # Ten stride steps handed over in one call, after the snapshot of
+    # step 0, fill the three-row pending block three times; each fill
+    # folds before the next row is added.
+    n = 2
+    set_log_rows(monkeypatch, 3, n)
+    rec, ref = recorders(n, stride=2, cls=FoldWatch)
+    folds = []
+    fold = FoldWatch._fold
+
+    def watched(self):
+        folds.append(list(self._pend_step))
+        fold(self)
+
+    monkeypatch.setattr(FoldWatch, "_fold", watched)
+    rec.update_applied(np.array([0.75, 0.25]))
+    ref.update_applied(np.array([0.75, 0.25]))
+    for s in range(1, 22):
+        ref.maybe_snapshot(s, *snapshot_state(s))
+    rec.stride_snapshots(21, [snapshot_state(s) for s in range(2, 21, 2)])
+    assert folds == [[0, 2, 4], [6, 8, 10], [12, 14, 16]]
+    assert rec._pend_step == [18, 20] and pending_rows(rec) == [0, 0]
+    assert outcome(rec.finish(21, 1.0, None)) == ref.finish(21, 1.0, None)
+
+
+@pytest.mark.parametrize("eps_conv", [None, 1e-3])
+@pytest.mark.parametrize("stride", [1, 3])
+@pytest.mark.parametrize("hook", ["maybe_snapshot", "stride_snapshots"])
+@pytest.mark.parametrize("variant", ["window", "memoryless"])
+def test_snapshot_hook_sees_every_stride_step(monkeypatch, variant, hook, stride, eps_conv):
+    # A recorder class that overrides maybe_snapshot alone gets one call
+    # per stride step, as a timing tool's does, and takes no stretch; one
+    # that overrides stride_snapshots alone gets every stride step
+    # through it, but those of a settled window's stretches, which
+    # updates_applied takes, and no maybe_snapshot call from the loop.
+    # Both runs equal the plain run, also when eps_conv stops them early.
+    seen, direct, stretched = [], [], []
+
+    class Overriding(TraceRecorder):
+        pass
+
+    def per_step(self, step, gamma, delta):
+        seen.append(step)
+        TraceRecorder.maybe_snapshot(self, step, gamma, delta)
+
+    def bulk(self, step, states):
+        seen.extend(range(step - step % self.stride - (len(states) - 1) * self.stride, step + 1, self.stride))
+        TraceRecorder.stride_snapshots(self, step, states)
+
+    setattr(Overriding, hook, per_step if hook == "maybe_snapshot" else bulk)
+    base = TraceRecorder.maybe_snapshot
+
+    def spy(self, step, gamma, delta):
+        direct.append(step)
+        base(self, step, gamma, delta)
+
+    updates_applied = TraceRecorder.updates_applied
+
+    def stretch_spy(self, params, step, gamma, delta):
+        stretched.extend(s for s in range(step + 1, step + len(params) + 1) if s % self.stride == 0)
+        updates_applied(self, params, step, gamma, delta)
+
+    monkeypatch.setattr(TraceRecorder, "maybe_snapshot", spy)
+    monkeypatch.setattr(TraceRecorder, "updates_applied", stretch_spy)
+    engine, _ = ENGINES[variant]
+    module = window_module if variant == "window" else memoryless
+    config = OnlineConfig if variant == "window" else MemorylessConfig
+    cfg = config(N=20, rho=0.1, alpha=0.5, K=700, snapshot_stride=stride, eps_conv=eps_conv)
+    plain = engine(cfg, OBJECTIVES["trap"], RngStream(4))
+    monkeypatch.setattr(module, "TraceRecorder", Overriding)
+    # Here eps_conv stops a window run before it settles.
+    settles = variant == "window" and eps_conv is None
+    assert bool(stretched) == settles
+    del direct[:], stretched[:]
+    run = engine(cfg, OBJECTIVES["trap"], RngStream(4))
+    assert outcome(run) == outcome(plain)
+    assert (run.steps < cfg.K) == (eps_conv is not None)
+    assert sorted(seen + stretched) == list(range(stride, run.steps + 1, stride))
+    assert bool(stretched) == (settles and hook == "stride_snapshots")
+    assert len(seen) >= 50 // stride
+    assert direct == (seen if hook == "maybe_snapshot" else [])
 
 
 # Engine-level oracle: each engine against a replay of its pure functions.
@@ -507,11 +682,11 @@ def test_engines_match_pure_function_replay(case):
 
 # Edges the strategy above never reaches: alpha1 = 1, so none of the old
 # parameters is kept (ceil(rho*N) = 1, which memoryless rejects); one row
-# per draw block and per log block (n = 1030); K shorter than one draw
+# per draw block and per log block (n = 8200); K shorter than one draw
 # block.
 EDGE_CASES = {
     "alpha1_one": (OBJECTIVES["trap"], dict(N=5, rho=0.1, alpha=1.0, K=200, snapshot_stride=1)),
-    "one_row_blocks": (make_objective(ProblemSpec(kind="onemax", n=1030)),
+    "one_row_blocks": (make_objective(ProblemSpec(kind="onemax", n=8200)),
                        dict(N=20, rho=0.1, alpha=0.5, K=150)),
     "K_within_one_block": (OBJECTIVES["onemax"], dict(N=20, rho=0.1, alpha=0.5, K=150, snapshot_stride=3)),
 }
