@@ -6,7 +6,7 @@ Extracts `git archive REF` into a temporary directory, then runs the same
 CLI commands against both source trees: `run`, `compare`, `sweep-alpha`
 and `calibrate-delta0` (at 10000 repetitions), each as CSV and as JSON,
 plus `config-dump`, over two fixed grids of configs: nine commands on each
-of 159 configs, 1431 triples. The valid grid covers five problem kinds x three
+of 161 configs, 1449 triples. The valid grid covers five problem kinds x three
 variants x snapshot_stride 1 and default x eps_conv set and unset (60
 configs); the memoryless configs cycle through the three delta
 estimators, a pinned gamma0 and a delta_min above 0. Twelve more valid
@@ -28,6 +28,9 @@ with eps_conv = 1e-60, which stops the runs inside a stretch. Four more
 window configs on the same problem run at alpha = 0.2 and 0.05, each at
 snapshot_stride 1 and at the default stride: their stretches start
 while the ones of the settled row still creep toward their fixed points.
+Two more window configs on onemax with n = 100 at alpha = 0.2, at
+snapshot_stride 1 and at the default stride, are wide: a draw block holds
+ten rows, so their stretches are short and dozens of ones creep in each.
 Forty more configs repeat rows on most steps, so that the online engines'
 value memo answers most of them: every problem kind at n = 8, where
 K = 1040 = T * N holds at least 4 * 2^n steps, each as window and as
@@ -147,7 +150,7 @@ COMMANDS = (
 
 
 def grid():
-    """The 128 valid configs, each a plain dict ready for json.dump."""
+    """The 130 valid configs, each a plain dict ready for json.dump."""
     memoryless = itertools.cycle(ESTIMATORS)
     out = []
     for i, (problem, variant, stride, eps) in enumerate(
@@ -190,6 +193,15 @@ def grid():
             "problem": PROBLEMS[2], "variant": "window",
             "N": 100, "rho": 0.1, "alpha": alpha, "T": 50, "K": 5000,
             "replicates": 3, "base_seed": 3100 + 7 * i, "alphas": [alpha, 0.5], "jobs": 1,
+            "snapshot_stride": stride,
+        })
+    # Wide: ten rows per draw block, so many short stretches, each with
+    # dozens of ones still creeping.
+    for i, stride in enumerate((1, None)):
+        out.append({
+            "problem": {"kind": "onemax", "n": 100}, "variant": "window",
+            "N": 100, "rho": 0.1, "alpha": 0.2, "T": 50, "K": 5000,
+            "replicates": 3, "base_seed": 3150 + 7 * i, "alphas": [0.2, 0.5], "jobs": 1,
             "snapshot_stride": stride,
         })
     # K = 5002 = 82 * 61 ends within a draw block and is a multiple of

@@ -102,11 +102,11 @@ def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, base_seed=args.seed)
-    if getattr(args, "jobs", None) is not None:
+    if args.jobs is not None:
         cfg = replace(cfg, jobs=args.jobs)
-    if getattr(args, "out", None) is not None:
+    if args.out is not None:
         cfg = replace(cfg, output_path=args.out)
-    if getattr(args, "format", None) is not None:
+    if args.format is not None:
         cfg = replace(cfg, output_format=args.format)
     return cfg
 

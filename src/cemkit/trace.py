@@ -69,7 +69,10 @@ class SnapshotTable(Sequence[TraceSnapshot]):
     Parameter vectors and cumulative sign-change counts are the rows of
     float64 and int64 blocks of block_rows snapshots each (about 2^13
     values, 64 KB a block); the scalar fields are plain lists, so None
-    stays None.
+    stays None. A snapshot's scalars are appended first and its rows
+    written later (extend): the table holds the `written` snapshots
+    whose rows are written, and a recorder's table may hold the scalars
+    of pending snapshots past them.
     Items are TraceSnapshots whose arrays are read-only views of one
     row. A RunTrace holds the sealed() form: read-only views of the
     filled rows, scalar columns as tuples.
@@ -77,6 +80,7 @@ class SnapshotTable(Sequence[TraceSnapshot]):
 
     def __init__(self, n: int):
         self.block_rows = max(1, _BLOCK_VALUES // n)
+        self.written = 0
         self._params: List[np.ndarray] = []
         self._sign_changes: List[np.ndarray] = []
         self.step: List[int] = []
@@ -87,18 +91,18 @@ class SnapshotTable(Sequence[TraceSnapshot]):
         self.elite_decisions: List[int] = []
 
     def __len__(self) -> int:
-        return len(self.step)
+        return self.written
 
     def _filled(self, blocks: List[np.ndarray]) -> List[np.ndarray]:
         # Read-only views of the rows written so far.
-        return [_read_only(b[: len(self) - k * self.block_rows]) for k, b in enumerate(blocks)]
+        return [_read_only(b[: self.written - k * self.block_rows]) for k, b in enumerate(blocks)]
 
     def param_blocks(self) -> List[np.ndarray]:
         """The (S, n) parameter vectors as consecutive read-only blocks of rows."""
         return self._filled(self._params)
 
     def __getitem__(self, i: int) -> TraceSnapshot:
-        i = range(len(self.step))[i]
+        i = range(self.written)[i]
         k, r = divmod(i, self.block_rows)
         return TraceSnapshot(
             self.step[i], _read_only(self._params[k][r]), self.gamma[i], self.delta[i],
@@ -115,20 +119,10 @@ class SnapshotTable(Sequence[TraceSnapshot]):
         )
         return (TraceSnapshot(*row) for row in zip(*columns))
 
-    def extend(
-        self,
-        params: np.ndarray,
-        sign_changes: np.ndarray,
-        step: Sequence[int],
-        gamma: Sequence[Optional[float]],
-        delta: Sequence[Optional[float]],
-        best_value: Sequence[Optional[float]],
-        update_count: Sequence[int],
-        elite_decisions: Sequence[int],
-    ) -> None:
-        """Copy m snapshots into the next m rows: the rows of the (m, n)
-        params and sign_changes, and m values of each scalar column."""
-        done, m = len(self.step), len(params)
+    def extend(self, params: np.ndarray, sign_changes: np.ndarray) -> None:
+        """Write the rows of the (m, n) params and sign_changes as those
+        of the next m snapshots, whose scalars are already appended."""
+        done, m = self.written, len(params)
         i = 0
         while i < m:
             k, r = divmod(done + i, self.block_rows)
@@ -139,21 +133,17 @@ class SnapshotTable(Sequence[TraceSnapshot]):
             self._params[k][r : r + j - i] = params[i:j]
             self._sign_changes[k][r : r + j - i] = sign_changes[i:j]
             i = j
-        self.step.extend(step)
-        self.gamma.extend(gamma)
-        self.delta.extend(delta)
-        self.best_value.extend(best_value)
-        self.update_count.extend(update_count)
-        self.elite_decisions.extend(elite_decisions)
+        self.written = done + m
 
     def sealed(self) -> "SnapshotTable":
-        """Read-only views of the filled rows and tuple columns of this table.
+        """Read-only views of the written rows and tuple columns of this table.
 
-        No data is copied: a row is written once, so later appends here
+        No snapshot may be pending: a recorder folds before it seals. No
+        data is copied: a row is written once, so later appends here
         never reach the sealed table.
         """
         out = SnapshotTable.__new__(SnapshotTable)
-        out.block_rows = self.block_rows
+        out.block_rows, out.written = self.block_rows, self.written
         out._params, out._sign_changes = self.param_blocks(), self._filled(self._sign_changes)
         for name in _SCALAR_COLUMNS:
             setattr(out, name, tuple(getattr(self, name)))
@@ -194,15 +184,19 @@ class TraceRecorder:
     previous nonzero increment.
 
     Recording a step costs almost nothing: an update copies its
-    parameter vector into the next row of a fixed-size log block, and
-    pending snapshots are kept by column, so stride_snapshots and
-    updates_applied add many of them with one list.extend per column
-    (of a range or a repeat) and build no tuple per snapshot. A
-    snapshot's log row follows from its update count. The sign changes
-    and the snapshots' rows are worked out by one array-wide fold
-    (_fold) when the log block fills, when the pending snapshots reach
-    one block, and on every read of sign_changes or _snapshots, so no
-    result depends on the block size.
+    parameter vector into the next row of a fixed-size log block, and a
+    snapshot appends its scalars to the SnapshotTable's columns.
+    updates_applied adds many snapshots with one list.extend per column
+    (of a range or a repeat), and stride_snapshots does the same for all
+    but gamma and delta, which it appends from the given pairs; neither
+    builds a tuple per snapshot. The snapshots past the table's written
+    rows are pending; a pending snapshot's log row follows from its
+    update count. The sign changes and the pending snapshots' rows are
+    worked out by one array-wide fold (_fold) when the log block fills,
+    when one log block of snapshots is pending, and on every read of
+    sign_changes or _snapshots, so no result depends on the block size.
+    Between calls fewer than one log block of snapshots is pending, so a
+    fold gathers at most that plus one call's snapshots.
     """
 
     def __init__(
@@ -240,12 +234,6 @@ class TraceRecorder:
         # and the change counts, as of log row 0.
         self._last_sign = np.zeros(n)
         self._sign_changes = np.zeros(n, dtype=np.int64)
-        # The pending snapshots by column: steps, (gamma, delta) pairs,
-        # best values, update counts and elite counts. A snapshot's log
-        # row is its update count less the count at log row 0.
-        self._pending = (
-            self._pend_step, self._pend_state, self._pend_best, self._pend_updates, self._pend_elites,
-        ) = ([], [], [], [], [])
         self.update_count = 0
         self.elite_decisions = 0
         self.best: Optional[EvaluatedSample] = None
@@ -281,37 +269,38 @@ class TraceRecorder:
         each, made at steps step+1 .. step+m, with the snapshot of each
         stride step among them taken at gamma and delta: the same record
         as update_applied(row) and maybe_snapshot(step, gamma, delta) for
-        every row in turn, written a log-block slice at a time.
+        every row in turn, written up to a full log block at a time.
         """
+        table = self._table
         best = None if self.best is None else self.best.value
-        state = (gamma, delta)
         stride, i, m = self.stride, 0, len(params)
         while i < m:
-            # Fill the log block at most, and take at most as many
-            # snapshots as the pending block has room for.
-            r, done, room = self._rows, step + i, self._log_rows - len(self._pend_step)
-            c = min(m - i, self._log_rows - r, (done // stride + room) * stride - done)
+            r, done = self._rows, step + i
+            c = min(m - i, self._log_rows - r)
             self._log[r + 1 : r + 1 + c] = params[i : i + c]
             # Snapshot steps s in (done, done + c]; at step s the counts
             # have grown by s - done.
             first, stop = (done // stride + 1) * stride, done + c + 1
             steps = range(first, stop, stride)
             updates, elites = self.update_count - done, self.elite_decisions - done
-            self._pend_step.extend(steps)
-            self._pend_state.extend([state] * len(steps))
-            self._pend_best.extend([best] * len(steps))
-            self._pend_updates.extend(range(updates + first, updates + stop, stride))
-            self._pend_elites.extend(range(elites + first, elites + stop, stride))
+            table.step.extend(steps)
+            table.gamma.extend([gamma] * len(steps))
+            table.delta.extend([delta] * len(steps))
+            table.best_value.extend([best] * len(steps))
+            table.update_count.extend(range(updates + first, updates + stop, stride))
+            table.elite_decisions.extend(range(elites + first, elites + stop, stride))
             self._rows = r + c
             self.update_count += c
             self.elite_decisions += c
             i += c
-            if self._rows == self._log_rows or len(self._pend_step) == self._log_rows:
+            # The one fold trigger: a full log block, or a log block of
+            # snapshots pending.
+            if self._rows == self._log_rows or len(table.step) - table.written >= self._log_rows:
                 self._fold()
 
     def _fold(self) -> None:
         """Count the sign changes of the logged updates and write the
-        pending snapshots into the table, then start a new block."""
+        pending snapshots' rows into the table, then start a new block."""
         r = self._rows
         log = self._log[: r + 1]
         # Row 0: the carried last nonzero sign; row i: the sign of update i.
@@ -327,15 +316,11 @@ class TraceRecorder:
         counts[0] = self._sign_changes
         np.cumsum(signs[1:] * held[:-1] < 0.0, axis=0, out=counts[1:])
         counts[1:] += counts[0]
-        if self._pend_step:
-            at = np.array(self._pend_updates) - (self.update_count - r)
-            gamma, delta = zip(*self._pend_state)
-            self._table.extend(
-                log[at], counts[at], self._pend_step, gamma, delta, self._pend_best,
-                self._pend_updates, self._pend_elites,
-            )
-            for column in self._pending:
-                column.clear()
+        # A pending snapshot's log row is its update count less the count
+        # at log row 0.
+        table = self._table
+        at = np.array(table.update_count[table.written :], dtype=np.intp) - (self.update_count - r)
+        table.extend(log[at], counts[at])
         self._last_sign = held[r]
         self._sign_changes = counts[r]
         self._log[0] = log[r]
@@ -364,34 +349,32 @@ class TraceRecorder:
         as maybe_snapshot(s, *states[i]) for each of those steps s in
         turn, with no tuple built per snapshot.
         """
-        stride, m = self.stride, len(states)
+        table, stride, m = self._table, self.stride, len(states)
         last = step - step % stride
-        room = self._log_rows - len(self._pend_step)
-        if m > room:
-            # Fill the pending block, which folds it, then take the rest.
-            self.stride_snapshots(last - (m - room) * stride, states[:room])
-            self.stride_snapshots(step, states[room:])
-            return
-        self._pend_step.extend(range(last - (m - 1) * stride, last + 1, stride))
-        self._pend_state.extend(states)
-        self._pend_best.extend([None if self.best is None else self.best.value] * m)
-        self._pend_updates.extend([self.update_count] * m)
-        self._pend_elites.extend([self.elite_decisions] * m)
-        if m == room:
+        table.step.extend(range(last - (m - 1) * stride, last + 1, stride))
+        for gamma, delta in states:
+            table.gamma.append(gamma)
+            table.delta.append(delta)
+        table.best_value.extend([None if self.best is None else self.best.value] * m)
+        table.update_count.extend([self.update_count] * m)
+        table.elite_decisions.extend([self.elite_decisions] * m)
+        if len(table.step) - table.written >= self._log_rows:
             self._fold()
 
     def _snapshot(self, step: int, gamma: Optional[float], delta: Optional[float]) -> None:
-        self._pend_step.append(step)
-        self._pend_state.append((gamma, delta))
-        self._pend_best.append(None if self.best is None else self.best.value)
-        self._pend_updates.append(self.update_count)
-        self._pend_elites.append(self.elite_decisions)
-        if len(self._pend_step) == self._log_rows:
+        table = self._table
+        table.step.append(step)
+        table.gamma.append(gamma)
+        table.delta.append(delta)
+        table.best_value.append(None if self.best is None else self.best.value)
+        table.update_count.append(self.update_count)
+        table.elite_decisions.append(self.elite_decisions)
+        if len(table.step) - table.written >= self._log_rows:
             self._fold()
 
     def finish(self, steps: int, gamma: Optional[float], delta: Optional[float]) -> RunTrace:
         """Seal the recorder into a RunTrace with its own read-only snapshots."""
-        if self._snapshots.step[-1] != steps:
+        if self._table.step[-1] != steps:
             self._snapshot(steps, gamma, delta)
         return RunTrace(
             variant=self.variant,

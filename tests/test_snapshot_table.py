@@ -82,7 +82,11 @@ def test_table_adds_blocks_and_keeps_every_row():
     table = SnapshotTable(3)
     rows = [np.array([i, -i, 0.5], dtype=float) for i in range(count)]
     for i, row in enumerate(rows):
-        table.extend(row[None], np.array([[i, 2 * i, 0]]), (i,), (None,), (float(i),), (None,), (i,), (3 * i,))
+        # A row's scalars come first; it counts once its arrays are written.
+        for name, value in zip(FIELDS, (i, None, float(i), None, i, 3 * i)):
+            getattr(table, name).append(value)
+        assert len(table) == i
+        table.extend(row[None], np.array([[i, 2 * i, 0]]))
     assert len(table) == count
     blocks = table.param_blocks()
     assert [len(b) for b in blocks] == [4] * 6 + [1]

@@ -201,10 +201,17 @@ def test_fold_matches_reference_for_random_updates(monkeypatch, rows, stride):
     assert final[0] > final[1:].max() > 0
 
 
+def pending(rec):
+    """The steps of the pending snapshots: the table's rows past those written."""
+    table = rec._table
+    return table.step[table.written :]
+
+
 def pending_rows(rec):
     """The log row of each pending snapshot: its update count less the
     count at log row 0."""
-    return [u - (rec.update_count - rec._rows) for u in rec._pend_updates]
+    table = rec._table
+    return [u - (rec.update_count - rec._rows) for u in table.update_count[table.written :]]
 
 
 def test_fold_on_a_snapshot_step(monkeypatch):
@@ -218,12 +225,12 @@ def test_fold_on_a_snapshot_step(monkeypatch):
         if step == 2:
             # The second update filled the two-row block and folded it
             # before the snapshot of the same step was taken.
-            assert rec._rows == 0 and not rec._pend_step
+            assert rec._rows == 0 and not pending(rec)
         for r in (rec, ref):
             r.maybe_snapshot(step, float(step), None)
         if step == 2:
             # That snapshot refers to row 0, the carried last update.
-            assert rec._pend_step == [2] and pending_rows(rec) == [0]
+            assert pending(rec) == [2] and pending_rows(rec) == [0]
     assert snapshot_rows(rec._snapshots) == ref.snapshots
     assert rec.sign_changes.tolist() == ref.counts == [2, 1, 0]
     assert outcome(rec.finish(3, 3.0, None)) == ref.finish(3, 3.0, None)
@@ -271,14 +278,15 @@ def test_recording_after_finish(monkeypatch, rows):
 def test_long_run_holds_at_most_one_block(monkeypatch):
     # A K=50,000 memoryless run at the default stride fills the update
     # log and the pending snapshots many times over; neither may ever
-    # hold more than one block of rows.
+    # hold more than one block of rows. (A call adds at most one
+    # snapshot here, since the stride N exceeds a draw block's rows.)
     seen = {"folds": 0, "rows": 0, "pending": 0}
 
     class Watched(TraceRecorder):
         def _fold(self):
             seen["folds"] += 1
             seen["rows"] = max(seen["rows"], self._rows)
-            seen["pending"] = max(seen["pending"], len(self._pend_step))
+            seen["pending"] = max(seen["pending"], len(pending(self)))
             TraceRecorder._fold(self)
 
     obj = make_objective(ProblemSpec(kind="onemax", n=40))
@@ -308,7 +316,7 @@ class FoldWatch(TraceRecorder):
 
     def _fold(self):
         if self.in_bulk:
-            self.folds.append((self._rows, len(self._pend_step)))
+            self.folds.append((self._rows, len(pending(self))))
         TraceRecorder._fold(self)
 
 
@@ -359,28 +367,31 @@ def record_stretches(mp, log_rows, stride, before, lengths, seed, n=4):
 def test_bulk_updates_match_per_call_recording(log_rows, stride, before, lengths, seed):
     with pytest.MonkeyPatch.context() as mp:
         folds = record_stretches(mp, log_rows, stride, random_events(4, before, seed), lengths, seed)
-    # Neither the log nor the pending snapshots ever hold more than a block.
+    # The log never holds more than a block. Fewer than a block of
+    # snapshots is pending when a call starts, and a log block's worth of
+    # updates adds at most a block more.
     block = DEFAULT_LOG_VALUES // 4 if log_rows is None else log_rows
-    assert all(rows <= block and pending <= block for rows, pending in folds)
+    assert all(rows <= block and held < 2 * block for rows, held in folds)
 
 
-@pytest.mark.parametrize("stride, before, full", [
-    (7, 14, "log"),  # starts on a stride step
-    (7, 9, "log"),  # starts between stride steps
-    (1, 1, "pending"),
-    (3, 4, "pending"),
-])
-def test_bulk_updates_fold_full_blocks(monkeypatch, stride, before, full):
-    # Steps without updates leave snapshots pending; a ten-row stretch
-    # then fills the three-row log block, or fills the pending block
-    # first, and folds inside updates_applied.
+@pytest.mark.parametrize("stride, before, length, folds", [
+    # Starts on a stride step: three full log blocks, one snapshot among them.
+    (7, 14, 10, [(3, 0), (3, 0), (3, 1)]),
+    # Starts between stride steps.
+    (7, 9, 10, [(3, 2), (3, 1), (3, 0)]),
+    # The first full log block folds with steps 0 and 1 and its own three
+    # snapshots pending: more than a block.
+    (1, 1, 10, [(3, 5), (3, 3), (3, 3)]),
+    # One row fills the pending block, not the log block.
+    (1, 1, 1, [(1, 3)]),
+    (3, 4, 2, [(2, 3)]),
+], ids=["7-14-log", "7-9-log", "1-1-log", "1-1-pending", "3-4-pending"])
+def test_bulk_updates_fold_full_blocks(monkeypatch, stride, before, length, folds):
+    # Steps without updates leave snapshots pending; a stretch then
+    # fills the three-row log block, or brings the pending count to a
+    # block first, and folds inside updates_applied.
     quiet = [(None, None, float(step), None) for step in range(1, before + 1)]
-    folds = record_stretches(monkeypatch, 3, stride, quiet, [10], seed=1)
-    assert folds and all(rows <= 3 and pending <= 3 for rows, pending in folds)
-    if full == "log":
-        assert any(rows == 3 for rows, _ in folds)
-    else:
-        assert any(pending == 3 and rows < 3 for rows, pending in folds)
+    assert record_stretches(monkeypatch, 3, stride, quiet, [length], seed=1) == folds
 
 
 # The bulk form of maybe_snapshot: stride_snapshots(step, states) takes
@@ -461,8 +472,8 @@ def test_bulk_snapshots_match_per_call_recording(log_rows, table_rows, stride, o
             else:
                 flush()
                 assert snapshot_rows(bulk._snapshots) == ref.snapshots
-            # Neither the log nor the pending snapshots ever hold a full block.
-            assert bulk._rows < bulk._log_rows and len(bulk._pend_step) < bulk._log_rows
+            # Between calls, neither the log nor the pending snapshots hold a full block.
+            assert bulk._rows < bulk._log_rows and len(pending(bulk)) < bulk._log_rows
         flush()
         want = ref.finish(step, 1.5, None)
         assert outcome(bulk.finish(step, 1.5, None)) == want
@@ -471,8 +482,9 @@ def test_bulk_snapshots_match_per_call_recording(log_rows, table_rows, stride, o
 
 def test_bulk_snapshots_fold_full_pending_blocks(monkeypatch):
     # Ten stride steps handed over in one call, after the snapshot of
-    # step 0, fill the three-row pending block three times; each fill
-    # folds before the next row is added.
+    # step 0, go pending together and fold at once: one call's
+    # snapshots may take the pending count past the three-row block.
+    # Later ones refer to log row 0 until the next update.
     n = 2
     set_log_rows(monkeypatch, 3, n)
     rec, ref = recorders(n, stride=2, cls=FoldWatch)
@@ -480,7 +492,7 @@ def test_bulk_snapshots_fold_full_pending_blocks(monkeypatch):
     fold = FoldWatch._fold
 
     def watched(self):
-        folds.append(list(self._pend_step))
+        folds.append(pending(self))
         fold(self)
 
     monkeypatch.setattr(FoldWatch, "_fold", watched)
@@ -489,9 +501,13 @@ def test_bulk_snapshots_fold_full_pending_blocks(monkeypatch):
     for s in range(1, 22):
         ref.maybe_snapshot(s, *snapshot_state(s))
     rec.stride_snapshots(21, [snapshot_state(s) for s in range(2, 21, 2)])
-    assert folds == [[0, 2, 4], [6, 8, 10], [12, 14, 16]]
-    assert rec._pend_step == [18, 20] and pending_rows(rec) == [0, 0]
-    assert outcome(rec.finish(21, 1.0, None)) == ref.finish(21, 1.0, None)
+    assert folds == [list(range(0, 21, 2))]
+    for s in range(22, 26):
+        ref.maybe_snapshot(s, *snapshot_state(s))
+    rec.stride_snapshots(25, [snapshot_state(22), snapshot_state(24)])
+    rec.stride_snapshots(25, [])
+    assert len(folds) == 1 and pending(rec) == [22, 24] and pending_rows(rec) == [0, 0]
+    assert outcome(rec.finish(25, 1.0, None)) == ref.finish(25, 1.0, None)
 
 
 @pytest.mark.parametrize("eps_conv", [None, 1e-3])
@@ -842,6 +858,25 @@ def test_creeping_window_matches_replay(monkeypatch, stride):
     bulk = sum(rows for _, rows in stretches)
     assert thresholds[0] + bulk == cfg.K - cfg.N and bulk > 3400
     assert stretches[0][0] == 1530 and creeping_rows(attempts) > 1000
+
+
+ONEMAX_100 = make_objective(ProblemSpec(kind="onemax", n=100))
+
+
+# onemax_100's seed-1 run at alpha 0.2 is wide: a draw block holds ten
+# rows, so a stretch takes at most ten. It first settles at step 3180 and
+# then makes 172 attempts, each with about 57 ones still creeping.
+@pytest.mark.parametrize("stride", [None, 1])
+def test_wide_creeping_window_matches_replay(monkeypatch, stride):
+    cfg = OnlineConfig(N=100, rho=0.1, alpha=0.2, K=5000, snapshot_stride=stride)
+    stretches, thresholds = watch_window(monkeypatch)
+    attempts = watch_attempts(monkeypatch)
+    run = run_online_window(cfg, ONEMAX_100, RngStream(1))
+    assert outcome(run) == replay_window(cfg, ONEMAX_100, RngStream(1))
+    bulk = sum(rows for _, rows in stretches)
+    assert thresholds[0] + bulk == cfg.K - cfg.N and bulk > 1500
+    assert stretches[0] == (3180, 10) and all(rows <= 10 for _, rows in stretches)
+    assert len(attempts) > 150 and creeping_rows(attempts) > 1000
 
 
 def test_eps_conv_stop_inside_a_stretch(monkeypatch):
