@@ -268,10 +268,21 @@ def parse_config(data: Dict) -> ExperimentConfig:
     return cfg
 
 
+def _unique_keys(pairs) -> Dict:
+    """A JSON object's pairs as a dict; a key given twice is an error
+    (json.load would keep the last value without a word)."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"{key}: repeated key in a JSON object")
+        data[key] = value
+    return data
+
+
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

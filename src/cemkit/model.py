@@ -10,6 +10,7 @@ Objective values are maximized throughout; wrap an objective with
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence, Tuple
 
@@ -149,10 +150,11 @@ class RngStream:
     """
 
     def __init__(self, seed: int):
-        seed = int(seed)
-        if seed < 0:
+        # Python and numpy integers only: a float, a string or a bool is
+        # refused, not turned into some other seed's stream.
+        if isinstance(seed, (bool, np.bool_)) or not hasattr(seed, "__index__") or seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        self._gen = np.random.default_rng(seed)
+        self._gen = np.random.default_rng(operator.index(seed))
 
     def random(self, size=None):
         """Uniform draws on [0, 1)."""
@@ -358,21 +360,20 @@ def _settled_stretch(u, probs, x, keep, alpha1, eps):
     return params, m, absorbed
 
 
-def bulk_covers(cls: type, bulk: str, per_step: Tuple[str, ...]) -> bool:
-    """Whether cls's method `bulk` stands in for its per-step methods.
+def bulk_covers(cls: type, bulk: str, per_step: str) -> bool:
+    """Whether cls's method `bulk` stands in for its method `per_step`.
 
     It does when the class that defines `bulk` (the first in cls's MRO)
-    is the class, or a subclass of the class, that defines each of
-    per_step. A subclass that overrides a per-step method, to count or
-    time its calls say, and leaves `bulk` as it is gets every per-step
-    call: the bulk path, which skips them, is off for it.
+    is the class, or a subclass of the class, that defines per_step. A
+    subclass that overrides the per-step method, to count or time its
+    calls say, and leaves `bulk` as it is gets every per-step call: the
+    bulk path, which skips them, is off for it.
     """
 
     def owner(name: str) -> type:
         return next(c for c in cls.__mro__ if name in vars(c))
 
-    home = owner(bulk)
-    return all(issubclass(home, owner(name)) for name in per_step)
+    return issubclass(owner(bulk), owner(per_step))
 
 
 def run_online(
@@ -439,43 +440,33 @@ def run_online(
     starts a block, so the list is empty then). Each pending snapshot
     thus sees the counts and best of its own step.
 
-    The recorder is the one switch for these: a recorder_class that
-    overrides update_applied or maybe_snapshot and not updates_applied
-    takes no stretch and keeps no memo, and one that overrides
-    maybe_snapshot and not stride_snapshots gets one maybe_snapshot call
-    per stride step, in the same order with the other calls
-    (bulk_covers). So it still sees one fn call per step, one call per
-    update and per stride step, and the run's window sees every push
-    and threshold call.
+    The recorder class is the one switch, and it switches only what a
+    counting tool counts: a recorder_class that overrides update_applied
+    and not updates_applied (bulk_covers) takes no stretch, and its memo
+    stores no row. So it still sees one fn call per step and one
+    update_applied call per update, and the run's window sees every push
+    and threshold call. Stride snapshots go to stride_snapshots under
+    every recorder class; the loop never calls maybe_snapshot.
 
     config is an OnlineConfig or a MemorylessConfig; eps_conv set stops
     the run early on 0/1 absorption.
     """
     recorder = config.start(variant, obj, recorder_class)
-    bulk = bulk_covers(recorder_class, "updates_applied", ("update_applied", "maybe_snapshot"))
-    if not bulk:
-        settled = None
+    memo_rows = _MEMO_ROWS
+    if not bulk_covers(recorder_class, "updates_applied", "update_applied"):
+        settled, memo_rows = None, 0
     alpha1, stride, K = config.alpha1, config.stride, config.K
     offer_best, update_applied = recorder.offer_best, recorder.update_applied
-    if bulk_covers(recorder_class, "stride_snapshots", ("maybe_snapshot",)):
-        take = recorder.stride_snapshots
-    else:
-        maybe_snapshot = recorder.maybe_snapshot
-
-        def take(step, states):
-            s = step - step % stride - len(states) * stride
-            for gamma, delta in states:
-                s += stride
-                maybe_snapshot(s, gamma, delta)
-    states = []  # state() at the stride steps not yet handed to take
+    stride_snapshots = recorder.stride_snapshots
+    states = []  # state() at the stride steps not yet handed to the recorder
 
     def flush(step):
-        take(step, states)
+        stride_snapshots(step, states)
         states.clear()
 
     probs = recorder.p0.probs.copy()
     n = probs.size
-    memo = {} if bulk else None  # row bytes -> value
+    memo = {}  # row bytes -> value
     fn = obj.fn
     isfinite = math.isfinite
     random, less, uint8 = rng.random, np.less, np.uint8
@@ -511,8 +502,8 @@ def run_online(
                 first = t
                 bits_from = less(u[t - start :], probs).view(uint8)
                 bits = bits_from[0]
-            key = None if memo is None else bits.tobytes()
-            value = None if key is None else memo.get(key)
+            key = bits.tobytes()
+            value = memo.get(key)
             if value is None:
                 value = float(fn(bits))
                 if not isfinite(value):
@@ -522,7 +513,7 @@ def run_online(
                     if states:
                         flush(t)
                     offer_best(bits, value, t)
-                if key is not None and len(memo) < _MEMO_ROWS:
+                if len(memo) < memo_rows:
                     memo[key] = value
             elite = is_elite(t, value)
             if elite:

@@ -129,6 +129,22 @@ class TestFailureModes:
         code, _, err = _run(capsys, ["run", "--config", str(p)])
         assert code == 2 and "turbo" in err
 
+    @pytest.mark.parametrize("command", ["run", "config-dump"])
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            # json.load alone would run these with N = 30 and n = 6.
+            ('{"problem": {"kind": "onemax", "n": 6}, "N": 20, "T": 5, "N": 30}', "N"),
+            ('{"problem": {"kind": "onemax", "n": 8, "n": 6}, "N": 20, "T": 5}', "n"),
+        ],
+    )
+    def test_repeated_key(self, capsys, tmp_path, command, text, key):
+        p = tmp_path / "twice.json"
+        p.write_text(text)
+        code, out, err = _run(capsys, [command, "--config", str(p)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: {key}: repeated key")
+
     @pytest.mark.parametrize(
         "patch, field",
         [

@@ -67,6 +67,15 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(-1)
 
+    @pytest.mark.parametrize("seed", [3.7, "5", True])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        # int() would turn these into 3, 5 and 1: other seeds' streams.
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            RngStream(seed)
+
+    def test_numpy_integer_seed(self):
+        assert np.array_equal(RngStream(np.int64(7)).random(10), RngStream(7).random(10))
+
     def test_same_seed_same_stream(self):
         a = RngStream(7).random(100)
         b = RngStream(7).random(100)

@@ -3,7 +3,7 @@
 An online run keeps a memo from a row's bytes to its value, up to
 model._MEMO_ROWS rows, and calls `fn` once per distinct row. Its outputs
 are those of a run that calls `fn` on every step: the same run under a
-recorder that overrides a per-step hook, which turns the memo off.
+recorder that overrides update_applied, under which the memo stores no row.
 """
 
 import math
@@ -73,8 +73,8 @@ def counted(obj):
 
 
 class PerStepRecorder(TraceRecorder):
-    """A stand-in that overrides a per-step hook and not updates_applied,
-    as a timing tool's may: its runs keep no memo and take no stretch."""
+    """A stand-in that overrides update_applied and not updates_applied,
+    as a timing tool's may: its memo stores no row and it takes no stretch."""
 
     def update_applied(self, new_params, elites=1):
         TraceRecorder.update_applied(self, new_params, elites)
@@ -110,6 +110,32 @@ def test_memo_run_equals_per_step_run(monkeypatch, variant, problem, eps_conv, s
     assert memo_calls == list(dict.fromkeys(step_calls))
     assert len(memo_calls) < memo_run.steps and len(memo_calls) <= 2**obj.n
     assert (memo_run.steps < cfg.K) == (eps_conv is not None)
+
+
+class SnapshotRecorder(TraceRecorder):
+    """A stand-in that overrides maybe_snapshot alone, which an online
+    run never calls: its runs keep the memo."""
+
+    def maybe_snapshot(self, step, gamma, delta):
+        TraceRecorder.maybe_snapshot(self, step, gamma, delta)
+
+
+@pytest.mark.parametrize("stride", [None, 1])
+@pytest.mark.parametrize("problem", ["trap_k", "weighted_linear"])
+@pytest.mark.parametrize("variant", sorted(ENGINES))
+def test_snapshot_stand_in_keeps_the_memo(monkeypatch, variant, problem, stride):
+    engine, config, module = ENGINES[variant]
+    cfg = config(N=20, rho=0.1, alpha=0.5, K=600, snapshot_stride=stride)
+    obj = make_objective(PROBLEMS[problem])
+    plain_obj, plain_calls = counted(obj)
+    plain = engine(cfg, plain_obj, RngStream(11))
+    monkeypatch.setattr(module, "TraceRecorder", SnapshotRecorder)
+    stand_in_obj, stand_in_calls = counted(obj)
+    run = engine(cfg, stand_in_obj, RngStream(11))
+    assert outcome(run) == outcome(plain)
+    # fn is called once per distinct row, as in the plain run.
+    assert stand_in_calls == plain_calls == list(dict.fromkeys(plain_calls))
+    assert len(stand_in_calls) < run.steps
 
 
 ONEMAX_6 = make_objective(PROBLEMS["onemax"])
