@@ -6,7 +6,7 @@ Extracts `git archive REF` into a temporary directory, then runs the same
 CLI commands against both source trees: `run`, `compare`, `sweep-alpha`
 and `calibrate-delta0` (at 10000 repetitions), each as CSV and as JSON,
 plus `config-dump`, over two fixed grids of configs: nine commands on each
-of 161 configs, 1449 triples. The valid grid covers five problem kinds x three
+of 166 configs, 1494 triples. The valid grid covers five problem kinds x three
 variants x snapshot_stride 1 and default x eps_conv set and unset (60
 configs); the memoryless configs cycle through the three delta
 estimators, a pinned gamma0 and a delta_min above 0. Twelve more valid
@@ -30,7 +30,15 @@ snapshot_stride 1 and at the default stride: their stretches start
 while the ones of the settled row still creep toward their fixed points.
 Two more window configs on onemax with n = 100 at alpha = 0.2, at
 snapshot_stride 1 and at the default stride, are wide: a draw block holds
-ten rows, so their stretches are short and dozens of ones creep in each.
+ten rows, so their first stretches are short and dozens of ones creep in
+each. Five more window configs at alpha = 0.9 grow their settled blocks:
+a stretch that takes its whole block doubles the next one, up to the cap
+(1638 rows at n = 10). On trap_k with n = 10, k = 5, N = 100 and
+K = 20000, at snapshot_stride 1 and at the default stride, the runs reach
+the cap and end inside a block cut short by K; with eps_conv = 1e-60 they
+stop inside a doubled block; at K = 3100 and snapshot_stride 7 they end
+inside a doubled block of 1632 rows. On onemax with n = 100 and K = 5000
+the blocks double from ten rows to the cap of 163.
 Forty more configs repeat rows on most steps, so that the online engines'
 value memo answers most of them: every problem kind at n = 8, where
 K = 1040 = T * N holds at least 4 * 2^n steps, each as window and as
@@ -150,7 +158,7 @@ COMMANDS = (
 
 
 def grid():
-    """The 130 valid configs, each a plain dict ready for json.dump."""
+    """The 135 valid configs, each a plain dict ready for json.dump."""
     memoryless = itertools.cycle(ESTIMATORS)
     out = []
     for i, (problem, variant, stride, eps) in enumerate(
@@ -203,6 +211,22 @@ def grid():
             "N": 100, "rho": 0.1, "alpha": 0.2, "T": 50, "K": 5000,
             "replicates": 3, "base_seed": 3150 + 7 * i, "alphas": [0.2, 0.5], "jobs": 1,
             "snapshot_stride": stride,
+        })
+    # Settled blocks double while stretches take them whole, up to
+    # _SETTLED_BLOCK_VALUES values (1638 rows at n = 10, 163 at n = 100).
+    # At K = 20000 the runs reach the cap and end inside a block cut short
+    # by K; eps_conv = 1e-60 stops them inside a doubled block; K = 3100
+    # ends inside a doubled block of 1632 rows; onemax with n = 100 at
+    # alpha 0.9 doubles up to its cap on a wide problem.
+    for i, settings in enumerate((
+        {"snapshot_stride": 1}, {}, {"eps_conv": 1e-60}, {"T": 31, "K": 3100, "snapshot_stride": 7},
+        {"problem": {"kind": "onemax", "n": 100}, "T": 50, "K": 5000},
+    )):
+        out.append({
+            "problem": PROBLEMS[2], "variant": "window",
+            "N": 100, "rho": 0.1, "alpha": 0.9, "T": 200, "K": 20000,
+            "replicates": 3, "base_seed": 3300 + 7 * i, "alphas": [0.9, 0.5], "jobs": 1,
+            **settings,
         })
     # K = 5002 = 82 * 61 ends within a draw block and is a multiple of
     # neither stride, and strides 7 and 150 leave stride steps pending

@@ -167,9 +167,11 @@ class RngStream:
         return self._gen.uniform(low, high, size)
 
 
-# Uniforms the online engines draw per block (whole rows, at least one).
-# Outputs do not depend on it.
+# Uniforms the online engines draw per block (whole rows, at least one),
+# and at most per settled block, whose size doubles while a window run's
+# stretches take whole blocks. Outputs depend on neither.
 _DRAW_BLOCK_VALUES = 1 << 10
+_SETTLED_BLOCK_VALUES = 1 << 14
 
 # Rows an online run's value memo holds at most; later new rows are
 # evaluated but not stored. Outputs do not depend on it.
@@ -399,7 +401,8 @@ def run_online(
     values that beat every earlier one, which are all that can change
     the best sample or the first hit.
 
-    Uniforms are drawn in blocks of whole rows. PCG64's random((B, n))
+    Uniforms are drawn in blocks of whole rows: _DRAW_BLOCK_VALUES // n
+    of them, or more for a settled block (below). PCG64's random((B, n))
     gives the same numbers as B calls of random(n), so each row equals
     what draw_sample would return at that step, whatever the block
     size. A new block is compared with the current probabilities in
@@ -428,10 +431,16 @@ def run_online(
     fixed points. A taken row equals x bit for bit, and obj is
     deterministic, so its value is v: finite, elite and not a new best.
     fn, is_elite and offer_best are not called for it, and the recorder
-    takes the stretch with one updates_applied call. The rest of the
-    block goes through the loop, starting with the row that broke the
-    stretch. The window engine passes its holds_one_value test; the
-    memoryless rule, whose threshold moves on every step, passes none.
+    takes the stretch with one updates_applied call, in O(n) plus its
+    stride snapshots. The rest of the block goes through the loop,
+    starting with the row that broke the stretch. A stretch that takes
+    its whole block leaves the run settled, and the next block has twice
+    its rows, up to _SETTLED_BLOCK_VALUES // n; a break drops the next
+    block back to a draw block. So a run that stays settled takes its
+    steps in a few long stretches, and an attempt that breaks early
+    draws and checks at most twice the rows the last one took. The
+    window engine passes its holds_one_value test; the memoryless rule,
+    whose threshold moves on every step, passes none.
 
     Snapshots in bulk. The loop appends state() at each stride step to
     a list and hands the list to the recorder's stride_snapshots in one
@@ -476,17 +485,23 @@ def run_online(
     toward = np.array([0.0, alpha1]).take
     eps = config.eps_conv
     block_rows = max(1, _DRAW_BLOCK_VALUES // n)
+    settled_rows = max(block_rows, _SETTLED_BLOCK_VALUES // n)
+    # Rows of the next block: they double, up to settled_rows, after a
+    # stretch that takes its whole block, and the next block then starts
+    # settled again; after a break they drop back to block_rows.
+    rows = block_rows
     best = -math.inf
     elite = False
     bits = None
     t = 0
     while t < K:
         start = t  # the step of the block's first row
-        u = random((min(block_rows, K - t), n))
+        u = random((min(rows, K - t), n))
         end = start + len(u)
         bits_from = None  # bits of rows first.. of u
         if elite and settled is not None and settled():
             params, m, absorbed = _settled_stretch(u, probs, bits, keep, alpha1, eps)
+            rows = min(2 * rows, settled_rows) if m == len(u) else block_rows
             if m:
                 probs = params[m]
                 recorder.updates_applied(params[1 : m + 1], t, *state())

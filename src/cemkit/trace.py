@@ -101,8 +101,14 @@ class SnapshotTable(Sequence[TraceSnapshot]):
         """The (S, n) parameter vectors as consecutive read-only blocks of rows."""
         return self._filled(self._params)
 
-    def __getitem__(self, i: int) -> TraceSnapshot:
-        i = range(self.written)[i]
+    def __getitem__(self, i):
+        """The snapshot at index i, or a list of them for a slice."""
+        if isinstance(i, slice):
+            return [self[j] for j in range(self.written)[i]]
+        try:
+            i = range(self.written)[i]
+        except IndexError:
+            raise IndexError(f"snapshot index {i} out of range for {self.written} snapshots") from None
         k, r = divmod(i, self.block_rows)
         return TraceSnapshot(
             self.step[i], _read_only(self._params[k][r]), self.gamma[i], self.delta[i],
@@ -185,18 +191,20 @@ class TraceRecorder:
 
     Recording a step costs almost nothing: an update copies its
     parameter vector into the next row of a fixed-size log block, and a
-    snapshot appends its scalars to the SnapshotTable's columns.
-    updates_applied adds many snapshots with one list.extend per column
-    (of a range or a repeat), and stride_snapshots does the same for all
-    but gamma and delta, which it appends from the given pairs; neither
-    builds a tuple per snapshot. The snapshots past the table's written
-    rows are pending; a pending snapshot's log row follows from its
-    update count. The sign changes and the pending snapshots' rows are
-    worked out by one array-wide fold (_fold) when the log block fills,
-    when one log block of snapshots is pending, and on every read of
-    sign_changes or _snapshots, so no result depends on the block size.
-    Between calls fewer than one log block of snapshots is pending, so a
-    fold gathers at most that plus one call's snapshots.
+    snapshot appends its scalars to the SnapshotTable's columns;
+    stride_snapshots appends many with one list.extend per column but
+    gamma and delta, which it appends from the given pairs. The
+    snapshots past the table's written rows are pending; a pending
+    snapshot's log row follows from its update count. The sign changes
+    and the pending snapshots' rows are worked out by one array-wide
+    fold (_fold) when the log block fills, when one log block of
+    snapshots is pending, and on every read of sign_changes or
+    _snapshots, so no result depends on the block size. Between calls
+    fewer than one log block of updates and of snapshots is pending.
+    updates_applied records a settled stretch without the log: it folds
+    what is pending, takes the stretch's sign changes from its first
+    row, and writes only its stride snapshots' rows into the table, so
+    a stretch of any length costs O(n) plus those rows.
     """
 
     def __init__(
@@ -265,38 +273,44 @@ class TraceRecorder:
     def updates_applied(
         self, params: np.ndarray, step: int, gamma: Optional[float], delta: Optional[float]
     ) -> None:
-        """Record the m rows of params as m updates of one elite sample
-        each, made at steps step+1 .. step+m, with the snapshot of each
-        stride step among them taken at gamma and delta: the same record
-        as update_applied(row) and maybe_snapshot(step, gamma, delta) for
-        every row in turn, written up to a full log block at a time.
+        """Record the m >= 1 rows of one settled stretch as m updates of
+        one elite sample each, made at steps step+1 .. step+m, with the
+        snapshot of each stride step among them taken at gamma and delta:
+        the same record as update_applied(row) and then maybe_snapshot(s,
+        gamma, delta) for the row of each step s in turn.
+
+        Precondition: each row is the one before it (the last update
+        recorded, for the first) moved toward one x in {0,1}^n by the
+        rounded map p -> fl(fl(p*(1 - alpha1)) + alpha1*x_i). That map
+        is monotone, so a component moves at the first row or never,
+        and never turns: the stretch's sign changes all fall on its
+        first row, and the counts are constant after it. So the record
+        costs O(n) plus the stride-step rows, whatever m is; no row goes
+        into the update log.
         """
-        table = self._table
-        best = None if self.best is None else self.best.value
-        stride, i, m = self.stride, 0, len(params)
-        while i < m:
-            r, done = self._rows, step + i
-            c = min(m - i, self._log_rows - r)
-            self._log[r + 1 : r + 1 + c] = params[i : i + c]
-            # Snapshot steps s in (done, done + c]; at step s the counts
-            # have grown by s - done.
-            first, stop = (done // stride + 1) * stride, done + c + 1
-            steps = range(first, stop, stride)
-            updates, elites = self.update_count - done, self.elite_decisions - done
-            table.step.extend(steps)
-            table.gamma.extend([gamma] * len(steps))
-            table.delta.extend([delta] * len(steps))
-            table.best_value.extend([best] * len(steps))
-            table.update_count.extend(range(updates + first, updates + stop, stride))
-            table.elite_decisions.extend(range(elites + first, elites + stop, stride))
-            self._rows = r + c
-            self.update_count += c
-            self.elite_decisions += c
-            i += c
-            # The one fold trigger: a full log block, or a log block of
-            # snapshots pending.
-            if self._rows == self._log_rows or len(table.step) - table.written >= self._log_rows:
-                self._fold()
+        self._fold()
+        table, stride, m = self._table, self.stride, len(params)
+        signs = np.sign(params[0] - self._log[0])
+        self._sign_changes = self._sign_changes + (signs * self._last_sign < 0.0)
+        self._last_sign = np.where(signs != 0.0, signs, self._last_sign)
+        # Snapshot steps s in (step, step + m]; at step s the counts have
+        # grown by s - step.
+        first, stop = (step // stride + 1) * stride, step + m + 1
+        steps = range(first, stop, stride)
+        updates, elites = self.update_count - step, self.elite_decisions - step
+        table.step.extend(steps)
+        table.gamma.extend([gamma] * len(steps))
+        table.delta.extend([delta] * len(steps))
+        table.best_value.extend([None if self.best is None else self.best.value] * len(steps))
+        table.update_count.extend(range(updates + first, updates + stop, stride))
+        table.elite_decisions.extend(range(elites + first, elites + stop, stride))
+        table.extend(
+            params[first - step - 1 :: stride],
+            np.broadcast_to(self._sign_changes, (len(steps), params.shape[1])),
+        )
+        self._log[0] = params[-1]
+        self.update_count += m
+        self.elite_decisions += m
 
     def _fold(self) -> None:
         """Count the sign changes of the logged updates and write the

@@ -38,6 +38,7 @@ from cemkit import model, trace
 TRAP = make_objective(ProblemSpec(kind="trap_k", n=10, k=5))
 DEFAULT_VALUES = model._DRAW_BLOCK_VALUES
 DEFAULT_LOG_VALUES = trace._LOG_BLOCK_VALUES
+DEFAULT_SETTLED_VALUES = model._SETTLED_BLOCK_VALUES
 
 
 def default_rows(n):
@@ -112,6 +113,30 @@ def test_eps_conv_stop_inside_a_block(monkeypatch, case):
     runs = [run_with_rows(monkeypatch, rows, engine, cfg, TRAP, seed) for rows in (1, 2, 7, None)]
     steps = runs[0].steps
     assert steps < cfg.K and steps % 7 and steps % default_rows(TRAP.n)
+    for run in runs[1:]:
+        assert outcome(run) == outcome(runs[0])
+
+
+@pytest.mark.parametrize("case", ["window_settled", "window_stride1", "window_stride7"])
+def test_run_trace_does_not_depend_on_settled_block_growth(monkeypatch, case):
+    # A stretch that takes its whole block doubles the next settled
+    # block, up to _SETTLED_BLOCK_VALUES // n rows. A cap at or below one
+    # draw block turns the growth off; caps of 4 and 40 rows cut it short
+    # early or late. Every run equals the default's, at draw blocks of
+    # 1 row and of the default size.
+    engine, cfg = CASES[case]
+    cfg = replace(cfg, alpha=0.9, K=3000)
+    stretches = watch_stretches(monkeypatch)
+    runs = []
+    for rows in (1, None):
+        for cap in (1, 4, 40, None):
+            values = DEFAULT_SETTLED_VALUES if cap is None else cap * TRAP.n
+            monkeypatch.setattr(model, "_SETTLED_BLOCK_VALUES", values)
+            runs.append(run_with_rows(monkeypatch, rows, engine, cfg, TRAP, 3))
+            if cap is None:
+                # Growth on: some stretch is longer than a draw block.
+                assert max(m for _, m in stretches) > (1 if rows == 1 else default_rows(TRAP.n))
+            stretches.clear()
     for run in runs[1:]:
         assert outcome(run) == outcome(runs[0])
 

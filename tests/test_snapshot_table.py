@@ -148,3 +148,21 @@ def test_sealed_trace_ignores_later_recording():
     blocks_after = trace.snapshots.param_blocks()
     assert len(blocks_after) == len(blocks_before) == 1
     assert np.array_equal(blocks_after[0], blocks_before[0])
+
+
+def test_slices_and_out_of_range_indices():
+    # A slice gives a list of TraceSnapshots, as a Sequence does; an index
+    # out of range raises an IndexError naming it and the snapshot count.
+    rec = _recorder([0.5, 0.2, 0.9])
+    expected, _ = _drive(rec, 30, np.random.default_rng(2))
+    snaps = rec.finish(30, gamma=None, delta=None).snapshots
+    assert len(snaps) == len(expected) == 31
+    for part in (slice(1, 3), slice(None, None, -4), slice(-5, None), slice(3, 29, 5), slice(40, 50)):
+        got, want = snaps[part], expected[part]
+        assert isinstance(got, list) and len(got) == len(want)
+        for g, w in zip(got, want):
+            _assert_same(g, w)
+    assert [s.step for s in rec._snapshots[1:3]] == [1, 2]
+    for i in (31, -32, 100):
+        with pytest.raises(IndexError, match=f"^snapshot index {i} out of range for 31 snapshots$"):
+            snaps[i]

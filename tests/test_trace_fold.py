@@ -299,11 +299,14 @@ def test_long_run_holds_at_most_one_block(monkeypatch):
     assert seen["folds"] >= run.update_count // block
 
 
-# The bulk form: updates_applied records a stretch of single-elite
-# updates, one step each, with the stride snapshots among them.
+# The bulk form: updates_applied records a settled stretch of
+# single-elite updates, one step each, with the stride snapshots among
+# them, in O(n) plus those snapshots' rows.
 
 class FoldWatch(TraceRecorder):
-    """Notes (log rows, pending snapshots) at each fold inside updates_applied."""
+    """Notes (log rows, pending snapshots) at each fold inside
+    updates_applied, and checks what each such call leaves: no log row,
+    no pending snapshot, and the stretch's last row as log row 0."""
 
     def __init__(self, *args, **kwargs):
         self.folds, self.in_bulk = [], False
@@ -313,6 +316,8 @@ class FoldWatch(TraceRecorder):
         self.in_bulk = True
         TraceRecorder.updates_applied(self, params, step, gamma, delta)
         self.in_bulk = False
+        assert self._rows == 0 and not pending(self)
+        assert self._log[0].tobytes() == params[-1].tobytes()
 
     def _fold(self):
         if self.in_bulk:
@@ -320,13 +325,23 @@ class FoldWatch(TraceRecorder):
         TraceRecorder._fold(self)
 
 
-def stretch_rows(rng, length, n):
-    """length parameter rows; about one in five repeats the row before it."""
-    params = rng.random((length, n))
-    for i in range(1, length):
-        if rng.random() < 0.2:
-            params[i] = params[i - 1]
-    return params
+# alpha1 = 1 keeps none of the old parameters, 0.07 stalls the ones
+# below 1, and 2^-54 rounds 1 - alpha1 to 1.0.
+STRETCH_ALPHA1 = [1.0, 0.5, 0.07, 2.0**-54]
+
+
+def stretch_rows(rng, start, length):
+    """length rows of a settled stretch from the parameters start: each
+    the one before it moved toward one random x by run_online's update
+    p * keep + toward(x), at an alpha1 drawn from STRETCH_ALPHA1."""
+    start = np.asarray(start, dtype=float)
+    x = rng.integers(0, 2, start.size)
+    alpha1 = STRETCH_ALPHA1[rng.integers(len(STRETCH_ALPHA1))]
+    keep, toward = np.full(start.size, 1.0 - alpha1), np.array([0.0, alpha1]).take
+    rows = [start]
+    for _ in range(length):
+        rows.append(rows[-1] * keep + toward(x))
+    return np.array(rows[1:])
 
 
 def record_stretches(mp, log_rows, stride, before, lengths, seed, n=4):
@@ -341,7 +356,7 @@ def record_stretches(mp, log_rows, stride, before, lengths, seed, n=4):
     feed((bulk, calls, ref), before)
     step = len(before)
     for length in lengths:
-        params, gamma = stretch_rows(rng, length, n), 0.5 * step
+        params, gamma = stretch_rows(rng, ref.params, length), 0.5 * step
         bulk.updates_applied(params, step, gamma, None)
         for s, row in enumerate(params, step + 1):
             for rec in (calls, ref):
@@ -361,37 +376,127 @@ def record_stretches(mp, log_rows, stride, before, lengths, seed, n=4):
     log_rows=st.sampled_from(LOG_ROWS),
     stride=st.sampled_from([1, 3, 7, 20]),
     before=st.integers(0, 45),
-    lengths=st.lists(st.integers(0, 80), min_size=1, max_size=3),
+    lengths=st.lists(st.integers(1, 80), min_size=1, max_size=3),
     seed=st.integers(0, 30),
 )
 def test_bulk_updates_match_per_call_recording(log_rows, stride, before, lengths, seed):
     with pytest.MonkeyPatch.context() as mp:
         folds = record_stretches(mp, log_rows, stride, random_events(4, before, seed), lengths, seed)
-    # The log never holds more than a block. Fewer than a block of
-    # snapshots is pending when a call starts, and a log block's worth of
-    # updates adds at most a block more.
+    # Each call folds once, at its start: fewer than a block of updates
+    # and of snapshots is pending between calls.
     block = DEFAULT_LOG_VALUES // 4 if log_rows is None else log_rows
-    assert all(rows <= block and held < 2 * block for rows, held in folds)
+    assert len(folds) == len(lengths)
+    assert all(rows < block and held < block for rows, held in folds)
 
 
-@pytest.mark.parametrize("stride, before, length, folds", [
-    # Starts on a stride step: three full log blocks, one snapshot among them.
-    (7, 14, 10, [(3, 0), (3, 0), (3, 1)]),
-    # Starts between stride steps.
-    (7, 9, 10, [(3, 2), (3, 1), (3, 0)]),
-    # The first full log block folds with steps 0 and 1 and its own three
-    # snapshots pending: more than a block.
-    (1, 1, 10, [(3, 5), (3, 3), (3, 3)]),
-    # One row fills the pending block, not the log block.
-    (1, 1, 1, [(1, 3)]),
-    (3, 4, 2, [(2, 3)]),
+@pytest.mark.parametrize("stride, before, moving, length, folds", [
+    # Updates on every step before the stretch: before % 3 log rows and
+    # the snapshots since the last full log block are pending.
+    (7, 14, True, 10, [(2, 1)]),
+    # The ninth update filled the log block and folded it, snapshot 7 too.
+    (7, 9, True, 10, [(0, 0)]),
+    (1, 1, True, 10, [(1, 2)]),
+    # No updates before it: only snapshots are pending.
+    (1, 1, False, 1, [(0, 2)]),
+    (3, 4, False, 2, [(0, 2)]),
 ], ids=["7-14-log", "7-9-log", "1-1-log", "1-1-pending", "3-4-pending"])
-def test_bulk_updates_fold_full_blocks(monkeypatch, stride, before, length, folds):
-    # Steps without updates leave snapshots pending; a stretch then
-    # fills the three-row log block, or brings the pending count to a
-    # block first, and folds inside updates_applied.
-    quiet = [(None, None, float(step), None) for step in range(1, before + 1)]
-    assert record_stretches(monkeypatch, 3, stride, quiet, [length], seed=1) == folds
+def test_bulk_updates_fold_full_blocks(monkeypatch, stride, before, moving, length, folds):
+    # With a three-row log block, a stretch no longer fills the log: it
+    # folds what is pending before it once, at its start, writes its own
+    # stride snapshots' rows straight into the table, and leaves nothing
+    # pending (FoldWatch).
+    rng = np.random.default_rng(before)
+    events = [
+        (rng.random(4) if moving else None, None, float(step), None) for step in range(1, before + 1)
+    ]
+    assert record_stretches(monkeypatch, 3, stride, events, [length], seed=1) == folds
+
+
+# updates_applied rests on one claim: run_online's update, iterated
+# toward one x, moves each component monotonically, and a component that
+# does not move at the first step never moves. The edges: 0.0 and 1.0,
+# subnormals, the smallest normal, and 1 - k * 2^-53, where a one's
+# step p * (1 - alpha1) + alpha1 may round to no move.
+MONOTONE_EDGES = [0.0, 5e-324, 2.0**-1050, 2.0**-1022, 0.5, 1.0 - 7 * 2.0**-53, 1.0 - 2.0**-53, 1.0]
+
+
+@settings(max_examples=200, deadline=None)
+@example(starts=MONOTONE_EDGES, alpha1=1.0)
+@example(starts=MONOTONE_EDGES, alpha1=0.07)
+@example(starts=MONOTONE_EDGES, alpha1=2.0**-54)
+@example(starts=MONOTONE_EDGES, alpha1=5e-324)
+@given(
+    starts=st.lists(
+        st.sampled_from(MONOTONE_EDGES)
+        | st.integers(1, 2**10).map(lambda k: 1.0 - k * 2.0**-53)
+        | st.floats(0.0, 1.0),
+        min_size=1, max_size=8,
+    ),
+    alpha1=st.sampled_from([1.0, 0.07, 2.0**-54]) | st.floats(0.0, 1.0, exclude_min=True),
+)
+def test_stretch_update_is_monotone(starts, alpha1):
+    # Each start once toward x_i = 0 and once toward x_i = 1, 300 steps.
+    probs = np.array(starts * 2)
+    x = np.repeat([0, 1], len(starts))
+    keep, toward = np.full(probs.size, 1.0 - alpha1), np.array([0.0, alpha1]).take
+    path = [probs]
+    for _ in range(300):
+        path.append(path[-1] * keep + toward(x))
+    steps = np.diff(np.array(path), axis=0)
+    first = np.sign(steps[0])
+    # No step goes against the first one's sign, and a component still at
+    # the first step stays still.
+    assert np.all(steps * first >= 0.0)
+    assert not steps[:, first == 0.0].any()
+
+
+@pytest.mark.parametrize("pending_before", [False, True], ids=["folded", "pending"])
+@pytest.mark.parametrize("stride", [1, 7, 100])
+def test_stretch_equals_per_call_recording(stride, pending_before):
+    # A 300-row stretch at alpha1 = 0.07 from the edge starts, each toward
+    # 0 and toward 1, after updates that leave every component's last
+    # step with a random sign: one recorder takes it with updates_applied,
+    # a second one row at a time with update_applied and, at stride steps,
+    # stride_snapshots, as run_online's loop records a step; the
+    # reference as well. Before it, 40 updates are either folded (a read
+    # of sign_changes) or left pending with their snapshots.
+    n, alpha1, before = 2 * len(MONOTONE_EDGES), 0.07, 40
+    start = np.array(MONOTONE_EDGES * 2)
+    x = np.repeat([0, 1], len(MONOTONE_EDGES))
+    bulk, ref = recorders(n, stride)
+    calls, _ = recorders(n, stride)
+    rng = np.random.default_rng(stride)
+    for s in range(1, before + 1):
+        row = start if s == before else rng.random(n)
+        for rec in (bulk, calls):
+            rec.update_applied(row)
+            if s % stride == 0:
+                rec.stride_snapshots(s, [(float(s), None)])
+        ref.update_applied(row)
+        ref.maybe_snapshot(s, float(s), None)
+    if not pending_before:
+        bulk.sign_changes
+    assert (bulk._rows > 0) == pending_before
+    keep, toward = np.full(n, 1.0 - alpha1), np.array([0.0, alpha1]).take
+    rows = [start]
+    for _ in range(300):
+        rows.append(rows[-1] * keep + toward(x))
+    params = np.array(rows[1:])
+    bulk.updates_applied(params, before, 2.5, None)
+    for s, row in enumerate(params, before + 1):
+        calls.update_applied(row)
+        if s % stride == 0:
+            calls.stride_snapshots(s, [(2.5, None)])
+        ref.update_applied(row)
+        ref.maybe_snapshot(s, 2.5, None)
+    # Some components turn at the stretch's first row, some never move.
+    moved = params[0] != start
+    assert moved.any() and not moved.all() and max(ref.counts) > 0
+    assert bulk.sign_changes.tolist() == calls.sign_changes.tolist() == ref.counts
+    assert snapshot_rows(bulk._snapshots) == snapshot_rows(calls._snapshots) == ref.snapshots
+    steps = before + len(params)
+    want = ref.finish(steps, 2.5, None)
+    assert outcome(bulk.finish(steps, 2.5, None)) == outcome(calls.finish(steps, 2.5, None)) == want
 
 
 # The bulk form of maybe_snapshot: stride_snapshots(step, states) takes
@@ -407,7 +512,7 @@ OPS = st.one_of(
     st.tuples(st.just("steps"), st.integers(0, 12)),
     st.tuples(st.just("update"), st.integers(1, 3)),
     st.tuples(st.just("offer"), st.integers(0, 3)),
-    st.tuples(st.just("stretch"), st.integers(0, 15)),
+    st.tuples(st.just("stretch"), st.integers(1, 15)),
     st.tuples(st.sampled_from(["flush", "read"]), st.just(0)),
 )
 
@@ -460,7 +565,7 @@ def test_bulk_snapshots_match_per_call_recording(log_rows, table_rows, stride, o
                     rec.offer_best(*offer)
             elif op == "stretch":
                 flush()
-                params, gamma = stretch_rows(rng, k, n), 0.5 * step
+                params, gamma = stretch_rows(rng, ref.params, k), 0.5 * step
                 bulk.updates_applied(params, step, gamma, None)
                 for s, row in enumerate(params, step + 1):
                     for rec in (calls, ref):
@@ -869,8 +974,10 @@ ONEMAX_100 = make_objective(ProblemSpec(kind="onemax", n=100))
 
 
 # onemax_100's seed-1 run at alpha 0.2 is wide: a draw block holds ten
-# rows, so a stretch takes at most ten. It first settles at step 3180 and
-# then makes 172 attempts, each with about 57 ones still creeping.
+# rows. It first settles at step 3180, and each stretch that takes its
+# whole block doubles the next one, up to 163 rows
+# (_SETTLED_BLOCK_VALUES // n), so 17 stretches take its 1717 stretch
+# rows, most with dozens of ones still creeping.
 @pytest.mark.parametrize("stride", [None, 1])
 def test_wide_creeping_window_matches_replay(monkeypatch, stride):
     cfg = OnlineConfig(N=100, rho=0.1, alpha=0.2, K=5000, snapshot_stride=stride)
@@ -880,8 +987,9 @@ def test_wide_creeping_window_matches_replay(monkeypatch, stride):
     assert outcome(run) == replay_window(cfg, ONEMAX_100, RngStream(1))
     bulk = sum(rows for _, rows in stretches)
     assert thresholds[0] + bulk == cfg.K - cfg.N and bulk > 1500
-    assert stretches[0] == (3180, 10) and all(rows <= 10 for _, rows in stretches)
-    assert len(attempts) > 150 and creeping_rows(attempts) > 1000
+    cap = model_module._SETTLED_BLOCK_VALUES // ONEMAX_100.n
+    assert stretches[0] == (3180, 10) and max(rows for _, rows in stretches) == cap
+    assert len(attempts) < 30 and creeping_rows(attempts) > 1000
 
 
 def test_eps_conv_stop_inside_a_stretch(monkeypatch):
@@ -939,6 +1047,45 @@ def test_patched_uniform_breaks_a_stretch(monkeypatch, obj, alpha, seed, at, com
     run = run_online_window(cfg, obj, PatchedStream(seed, patches))
     assert outcome(run) == replay_window(cfg, obj, PatchedStream(seed, patches))
     assert ends_at(stretches, at) and any(first > at for first, _ in stretches)
+
+
+def test_settled_blocks_double_up_to_the_cap(monkeypatch):
+    # The "high" run above at K = 20000: a stretch that takes its whole
+    # block doubles the next block, up to _SETTLED_BLOCK_VALUES // n rows.
+    # The patched uniform breaks the stretch of a doubled block at step
+    # 1774, the next block drops back to a draw block's rows, and the
+    # doubling starts over until the cap, which later stretches keep.
+    cfg = OnlineConfig(N=100, rho=0.1, alpha=0.9, K=20000)
+    patches = {1774 * TRAP_5_10.n + 2: np.nextafter(1.0, 0.0)}
+    events = []
+
+    class Blocks(PatchedStream):
+        def random(self, size=None):
+            events.append(("block", size[0]))
+            return PatchedStream.random(self, size)
+
+    settled_stretch = model_module._settled_stretch
+
+    def spy(u, *args):
+        params, m, absorbed = settled_stretch(u, *args)
+        events.append(("stretch", m))
+        return params, m, absorbed
+
+    monkeypatch.setattr(model_module, "_settled_stretch", spy)
+    run = run_online_window(cfg, TRAP_5_10, Blocks(3, patches))
+    assert outcome(run) == replay_window(cfg, TRAP_5_10, PatchedStream(3, patches))
+    block = model_module._DRAW_BLOCK_VALUES // TRAP_5_10.n
+    cap = model_module._SETTLED_BLOCK_VALUES // TRAP_5_10.n
+    want, t = block, 0
+    for kind, k in events:
+        if kind == "block":
+            assert k == min(want, cfg.K - t)
+            size, want, t = k, block, t + k
+        else:
+            want = min(2 * size, cap) if k == size else block
+    assert t == cfg.K and ("block", cap) in events
+    # The break: 550 rows of an 816-row block.
+    assert events[events.index(("stretch", 550)) - 1 :][:3] == [("block", 816), ("stretch", 550), ("block", block)]
 
 
 @pytest.mark.parametrize("below, breaks", [(False, True), (True, False)], ids=["at", "below"])
