@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -122,12 +123,13 @@ def _target(trace: RunTrace, x_star) -> np.ndarray:
 
 def phi_series(trace: RunTrace, x_star: np.ndarray) -> List[Tuple[int, float]]:
     """(step, phi(params, x_star)) at every snapshot of trace, worked out
-    one storage block of parameter rows at a time."""
+    once per stored row, one storage block at a time."""
     x = _target(trace, x_star)
     values: List[float] = []
     for p in trace.snapshots.param_blocks():
         values += np.prod(np.where(x == 1, p, 1.0 - p), axis=1).tolist()
-    return list(zip(trace.snapshots.step, values))
+    per_snapshot = chain.from_iterable(map(repeat, values, trace.snapshots.runs()))
+    return list(zip(trace.snapshots.step, per_snapshot))
 
 
 def analyze(trace: RunTrace, obj: Objective, eps_binary: float = 1e-3) -> ConvergenceReport:
@@ -155,11 +157,14 @@ def analyze(trace: RunTrace, obj: Objective, eps_binary: float = 1e-3) -> Conver
     if optimum_known:
         x_star = _target(trace, obj.optimal_bits)
 
-    # The band of param_envelope for every snapshot. The shrink factor
-    # is Python's ** (as in param_envelope), once per update count.
-    counts, inverse = np.unique(snaps.update_count, return_inverse=True)
-    shrink = np.array([(1.0 - trace.alpha1) ** u for u in counts.tolist()])[inverse][:, None]
+    # The band of param_envelope for every stored row, the one of each
+    # distinct update count. The shrink factor is Python's ** (as in
+    # param_envelope), once per row.
+    keep = 1.0 - trace.alpha1
+    counts = snaps.update_count
+    shrink = np.array([keep ** counts[i] for i in snaps.row_starts])[:, None]
     violations = 0
+    runs = None  # snapshots per row, read at the first block with a violation
     first_absorbed: Optional[int] = None
     # One storage block at a time bounds the scratch memory of long traces.
     start = 0
@@ -167,11 +172,16 @@ def analyze(trace: RunTrace, obj: Objective, eps_binary: float = 1e-3) -> Conver
         s = shrink[start : start + len(p)]
         lo = trace.p0.probs * s
         hi = lo + (1.0 - s)
-        violations += int(np.count_nonzero((p < lo - ENVELOPE_TOL) | (p > hi + ENVELOPE_TOL)))
+        outside = (p < lo - ENVELOPE_TOL) | (p > hi + ENVELOPE_TOL)
+        if outside.any():
+            # Each row's violations count once per snapshot of it.
+            if runs is None:
+                runs = np.array(snaps.runs())
+            violations += int(np.count_nonzero(outside, axis=1) @ runs[start : start + len(p)])
         if first_absorbed is None:
             absorbed = np.all((p <= eps_binary) | (p >= 1.0 - eps_binary), axis=1)
             if absorbed.any():
-                first_absorbed = start + int(absorbed.argmax())
+                first_absorbed = snaps.row_starts[start + int(absorbed.argmax())]
         start += len(p)
     converged_step = None if first_absorbed is None else snaps.step[first_absorbed]
 

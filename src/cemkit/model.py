@@ -442,20 +442,24 @@ def run_online(
     window engine passes its holds_one_value test; the memoryless rule,
     whose threshold moves on every step, passes none.
 
-    Snapshots in bulk. The loop appends state() at each stride step to
-    a list and hands the list to the recorder's stride_snapshots in one
-    call: at each block end, and before each recorder call that changes
-    its counts or best (offer_best, update_applied, finish; a stretch
-    starts a block, so the list is empty then). Each pending snapshot
-    thus sees the counts and best of its own step.
+    Snapshots in bulk. At each stride step the loop appends the pair
+    (state(), the recorder's update count) to the recorder's pending
+    list, and calls the recorder at no other step for it. The recorder
+    drains the list itself whenever a drained snapshot could otherwise
+    see another step's best or counts: before a new best (offer_best),
+    before a fold (a full log block, a stretch) and at finish. At each
+    block end the loop calls the recorder's block_end, which folds only
+    once a log block of snapshots is pending, so a stride-1 run holds at
+    most a log block and a block of steps of them.
 
     The recorder class is the one switch, and it switches only what a
     counting tool counts: a recorder_class that overrides update_applied
     and not updates_applied (bulk_covers) takes no stretch, and its memo
     stores no row. So it still sees one fn call per step and one
     update_applied call per update, and the run's window sees every push
-    and threshold call. Stride snapshots go to stride_snapshots under
-    every recorder class; the loop never calls maybe_snapshot.
+    and threshold call. Stride snapshots go on the pending list under
+    every recorder class, drained through its stride_snapshots; the loop
+    never calls maybe_snapshot.
 
     config is an OnlineConfig or a MemorylessConfig; eps_conv set stops
     the run early on 0/1 absorption.
@@ -466,13 +470,7 @@ def run_online(
         settled, memo_rows = None, 0
     alpha1, stride, K = config.alpha1, config.stride, config.K
     offer_best, update_applied = recorder.offer_best, recorder.update_applied
-    stride_snapshots = recorder.stride_snapshots
-    states = []  # state() at the stride steps not yet handed to the recorder
-
-    def flush(step):
-        stride_snapshots(step, states)
-        states.clear()
-
+    pending, block_end = recorder.pending, recorder.block_end
     probs = recorder.p0.probs.copy()
     n = probs.size
     memo = {}  # row bytes -> value
@@ -525,8 +523,6 @@ def run_online(
                     check_finite(variant, (value,), t)
                 if value > best:
                     best = value
-                    if states:
-                        flush(t)
                     offer_best(bits, value, t)
                 if len(memo) < memo_rows:
                     memo[key] = value
@@ -534,16 +530,11 @@ def run_online(
             if elite:
                 probs = probs * keep + toward(bits)
                 bits_from = None
-                if states:
-                    flush(t)
                 update_applied(probs)
             if (t + 1) % stride == 0:
-                states.append(state())
+                pending.append((state(), recorder.update_count))
             if elite and eps is not None and is_absorbed(probs, eps):
-                if states:
-                    flush(t + 1)
                 return recorder.finish(t + 1, *state())
-        if states:
-            flush(end)
+        block_end()
         t = end
     return recorder.finish(K, *state())

@@ -8,6 +8,8 @@ the report and every phi of the series must come out equal, not merely
 close, also when the trace is stored in many blocks of rows.
 """
 
+from bisect import bisect_right
+
 import numpy as np
 import pytest
 
@@ -109,19 +111,24 @@ def test_engine_traces_match_oracle(problem, variant, stride, block_size):
 
 
 @pytest.mark.parametrize("variant, alpha", [("window", 0.03), ("memoryless", 0.2)])
-def test_long_trace_absorbing_past_its_first_storage_block(variant, alpha):
-    # At the default block size a stride-1 run of 4000 steps on n=8
-    # spans four storage blocks, and these runs first absorb in the
-    # second one, so analyze must carry its search across blocks.
+def test_long_trace_absorbing_past_its_first_storage_block(monkeypatch, variant, alpha):
+    # A stride-1 run of 4000 steps on n=8 stores one row per distinct
+    # update count: 146 rows for memoryless, about 3100 for window. At 40
+    # rows a block both span three blocks or more, and both runs first
+    # absorb past the first one, so analyze must carry its search across
+    # blocks.
+    monkeypatch.setattr(trace_module, "_BLOCK_VALUES", 40 * 8)
     obj = make_objective(ProblemSpec(kind="onemax", n=8))
     engine, cls = {
         "window": (run_online_window, OnlineConfig),
         "memoryless": (run_memoryless, MemorylessConfig),
     }[variant]
     trace = engine(cls(N=30, rho=0.1, alpha=alpha, K=4000, snapshot_stride=1), obj, RngStream(21))
-    assert len(trace.snapshots.param_blocks()) >= 3
+    snaps = trace.snapshots
+    assert snaps.block_rows == 40 and len(snaps.param_blocks()) >= 3
     rep = _assert_matches_oracle(trace, obj)
-    assert rep.converged_step >= trace.snapshots.block_rows
+    first_absorbed = snaps.step.index(rep.converged_step)
+    assert bisect_right(snaps.row_starts, first_absorbed) - 1 >= snaps.block_rows
 
 
 @pytest.mark.parametrize("block_size", [None, 1, 20], indirect=True)
@@ -191,3 +198,32 @@ def test_rejects_bad_step_size_and_mismatched_target():
         analyze(trace, make_objective(ProblemSpec(kind="onemax", n=5)))
     with pytest.raises(DimensionError):
         phi_series_of(trace, np.ones(5, dtype=np.uint8))
+
+
+@pytest.mark.parametrize("block_size", [None, 1, 20], indirect=True)
+def test_violations_count_once_per_snapshot_of_a_shared_row(block_size):
+    # Snapshots without an update between them share a stored row; a row
+    # outside the band counts its violations once per snapshot of it,
+    # and the first absorbed row gives its first snapshot's step.
+    obj = make_objective(ProblemSpec(kind="onemax", n=3))
+    p0 = BernoulliParams(np.array([0.5, 0.5, 0.5]))
+    rec = TraceRecorder(
+        variant="hand", params0=p0, rho=0.1, alpha=0.5, alpha1=0.1,
+        snapshot_stride=1, optimal_value=3.0,
+    )
+    rows = [[0.45, 0.55, 0.5], [0.99, 0.01, 0.5], [0.5, 0.5, 0.5], [1.0, 1.0, 0.0], [0.99, 0.9, 0.2]]
+    step = 0
+    for row, repeats in zip(rows, [1, 4, 2, 3, 2]):
+        rec.update_applied(np.array(row))
+        for _ in range(repeats):
+            step += 1
+            rec.maybe_snapshot(step, gamma=None, delta=None)
+    trace = rec.finish(step, gamma=None, delta=None)
+    assert len(trace.snapshots.row_starts) == len(rows) + 1 < len(trace.snapshots)
+    rep = _assert_matches_oracle(trace, obj)
+    # The band after u updates is 0.5 * 0.9**u +- (1 - 0.9**u) / 2: the
+    # row after two updates leaves it in two components over four
+    # snapshots, the rows after four and five in all three over three
+    # and two. The row after four absorbs first, at step 8.
+    assert rep.envelope_violations == 2 * 4 + 3 * 3 + 3 * 2
+    assert rep.converged_step == 8

@@ -3,7 +3,21 @@
 import numpy as np
 import pytest
 
-from cemkit import BernoulliParams, SnapshotTable, TraceRecorder, TraceSnapshot
+from cemkit import (
+    BatchConfig,
+    BernoulliParams,
+    MemorylessConfig,
+    OnlineConfig,
+    ProblemSpec,
+    RngStream,
+    SnapshotTable,
+    TraceRecorder,
+    TraceSnapshot,
+    make_objective,
+    run_batch,
+    run_memoryless,
+    run_online_window,
+)
 from cemkit import trace as trace_module
 
 FIELDS = ("step", "gamma", "delta", "best_value", "update_count", "elite_decisions")
@@ -71,31 +85,40 @@ def test_recorder_matches_snapshot_list_across_blocks(stride):
     _assert_same(snaps[-len(expected)], expected[0])
     assert [s.step for s in snaps] == [s.step for s in expected]
     assert snaps.step == tuple(s.step for s in expected)
-    assert np.array_equal(np.concatenate(snaps.param_blocks()), np.stack([s.params for s in expected]))
+    assert np.array_equal(np.stack([s.params for s in snaps]), np.stack([s.params for s in expected]))
+    assert np.array_equal(np.stack([s.sign_changes for s in snaps]), np.stack([s.sign_changes for s in expected]))
     assert np.array_equal(trace.final_params.probs, expected[-1].params)
     with pytest.raises(IndexError):
         snaps[len(expected)]
 
 
 def test_table_adds_blocks_and_keeps_every_row():
-    count = 4 * 6 + 1
+    # 50 snapshots of 25 update counts, two snapshots each: the table
+    # stores 25 rows, four to a block, and every snapshot reads its own.
+    count = 2 * (4 * 6 + 1)
     table = SnapshotTable(3)
-    rows = [np.array([i, -i, 0.5], dtype=float) for i in range(count)]
-    for i, row in enumerate(rows):
-        # A row's scalars come first; it counts once its arrays are written.
-        for name, value in zip(FIELDS, (i, None, float(i), None, i, 3 * i)):
+    rows = [np.array([u, -u, 0.5], dtype=float) for u in range(count // 2)]
+    for i in range(count):
+        u = i // 2
+        # A snapshot's scalars come first; it counts once its row is written.
+        for name, value in zip(FIELDS, (i, None, float(i), None, u, 3 * i)):
             getattr(table, name).append(value)
         assert len(table) == i
-        table.extend(row[None], np.array([[i, 2 * i, 0]]))
+        if i % 2:
+            # The second snapshot of a count takes the row of the first.
+            table.extend(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), [])
+        else:
+            table.extend(rows[u][None], np.array([[u, 2 * u, 0]]), [i])
     assert len(table) == count
-    blocks = table.param_blocks()
-    assert [len(b) for b in blocks] == [4] * 6 + [1]
-    assert np.array_equal(np.concatenate(blocks), np.stack(rows))
-    assert [s.sign_changes[1] for s in table] == [2 * i for i in range(count)]
+    assert [len(b) for b in table.param_blocks()] == [4] * 6 + [1]
+    assert table.row_starts == list(range(0, count, 2)) and table.runs() == [2] * (count // 2)
+    assert [s.params.tolist() for s in table] == [rows[i // 2].tolist() for i in range(count)]
+    assert [table[i].params.tolist() for i in range(count)] == [rows[i // 2].tolist() for i in range(count)]
+    assert [s.sign_changes[1] for s in table] == [2 * (i // 2) for i in range(count)]
     assert [s.delta for s in table] == [float(i) for i in range(count)]
     assert table[-1].gamma is None and table[-1].elite_decisions == 3 * (count - 1)
     assert table[5].step == 5 and table[-count].best_value is None
-    assert np.array_equal(table[9].params, rows[9])
+    assert np.array_equal(table[19].params, rows[9])
 
 
 def test_sealed_arrays_are_read_only():
@@ -166,3 +189,42 @@ def test_slices_and_out_of_range_indices():
     for i in (31, -32, 100):
         with pytest.raises(IndexError, match=f"^snapshot index {i} out of range for 31 snapshots$"):
             snaps[i]
+
+
+DEFAULT_BLOCK_VALUES = trace_module._BLOCK_VALUES
+
+
+@pytest.mark.parametrize("table_rows", [1, 20, None])
+@pytest.mark.parametrize("variant, stride", [("batch", None)] + [
+    (v, s) for v in ("window", "memoryless") for s in (1, 7, None)
+])
+def test_one_row_per_distinct_update_count(monkeypatch, variant, stride, table_rows):
+    # A snapshot's rows depend only on its update count, so a run's table
+    # stores exactly one row per distinct count, and every snapshot
+    # reads the row of its own count. The window run settles at alpha
+    # 0.9, so its stretches write rows too.
+    n = 10
+    monkeypatch.setattr(
+        trace_module, "_BLOCK_VALUES", DEFAULT_BLOCK_VALUES if table_rows is None else table_rows * n
+    )
+    obj = make_objective(ProblemSpec(kind="trap_k", n=n, k=5))
+    if variant == "batch":
+        run = run_batch(BatchConfig(N=50, rho=0.1, alpha=0.7, T=30), obj, RngStream(3))
+    else:
+        engine, cls = {"window": (run_online_window, OnlineConfig), "memoryless": (run_memoryless, MemorylessConfig)}[variant]
+        run = engine(cls(N=50, rho=0.1, alpha=0.9, K=3000, snapshot_stride=stride), obj, RngStream(3))
+    snaps = run.snapshots
+    counts = snaps.update_count
+    assert len(snaps.row_starts) == len(set(counts)) == sum(map(len, snaps.param_blocks()))
+    assert sum(snaps.runs()) == len(snaps) == len(counts)
+    # Each row starts where the count changes.
+    assert list(snaps.row_starts) == [i for i in range(len(counts)) if i == 0 or counts[i] != counts[i - 1]]
+    rows = np.concatenate(snaps.param_blocks())
+    for k, (start, run_length) in enumerate(zip(snaps.row_starts, snaps.runs())):
+        for s in snaps[start : start + run_length]:
+            assert s.update_count == counts[start]
+            assert s.params.tobytes() == rows[k].tobytes()
+    assert len(snaps.row_starts) <= run.update_count + 1
+    if variant == "memoryless":
+        # It updates on few steps: most snapshots share a row.
+        assert 2 * len(snaps.row_starts) < len(snaps)
