@@ -6,7 +6,7 @@ Extracts `git archive REF` into a temporary directory, then runs the same
 CLI commands against both source trees: `run`, `compare`, `sweep-alpha`
 and `calibrate-delta0` (at 10000 repetitions), each as CSV and as JSON,
 plus `config-dump`, over two fixed grids of configs: nine commands on each
-of 166 configs, 1494 triples. The valid grid covers five problem kinds x three
+of 168 configs, 1512 triples. The valid grid covers five problem kinds x three
 variants x snapshot_stride 1 and default x eps_conv set and unset (60
 configs); the memoryless configs cycle through the three delta
 estimators, a pinned gamma0 and a delta_min above 0. Twelve more valid
@@ -19,6 +19,11 @@ per draw block), a maxcut with n = 20 shaped like the benchmark's
 with n = 256, k = 128 (the widest one-byte lanes) and with n = 258,
 k = 129 (the narrowest two-byte lanes), and onemax with n = 20,
 K = 8000 and snapshot_stride 1 (about twenty snapshot storage blocks).
+Two batch configs reach the trace's edges too: onemax with n = 8200 (one
+update per trace log block), and a weighted_linear with n = 20, T = 1000
+and alpha = 0.2, whose 1001 snapshots, one row each, span three storage
+blocks of 409 rows; its eps_conv = 1e-300 stops no run early, since the
+components that head for 0 stay far above it.
 One more valid batch config runs at alpha = 1 with the grid [1.0, 0.2],
 where the per-update step is 1 and the miss bound's tail sum is 0.
 Three window configs on trap_k with n = 10, k = 5 at alpha = 0.9,
@@ -158,7 +163,7 @@ COMMANDS = (
 
 
 def grid():
-    """The 135 valid configs, each a plain dict ready for json.dump."""
+    """The 137 valid configs, each a plain dict ready for json.dump."""
     memoryless = itertools.cycle(ESTIMATORS)
     out = []
     for i, (problem, variant, stride, eps) in enumerate(
@@ -180,6 +185,21 @@ def grid():
             "problem": problem, "variant": variant,
             "N": 20, "rho": 0.1, "alpha": 0.7, "T": 15, "K": 300,
             "replicates": 3, "base_seed": 900 + 7 * i, "alphas": [0.7, 0.2], "jobs": 1,
+            **settings,
+        })
+    # Batch at the trace's edges: one update per log block, and 1001
+    # snapshots over three storage blocks.
+    for i, (problem, settings) in enumerate((
+        (EDGES[0][0], {}),
+        (
+            {"kind": "weighted_linear", "n": 20, "weights": [0.25 * (j + 1) * (-1) ** j for j in range(20)]},
+            {"alpha": 0.2, "T": 1000, "K": 20000, "alphas": [0.2, 0.1], "eps_conv": 1e-300},
+        ),
+    )):
+        out.append({
+            "problem": problem, "variant": "batch",
+            "N": 20, "rho": 0.1, "alpha": 0.7, "T": 15, "K": 300,
+            "replicates": 3, "base_seed": 950 + 7 * i, "alphas": [0.7, 0.2], "jobs": 1,
             **settings,
         })
     out.append({

@@ -285,6 +285,8 @@ def load_config(path: str) -> ExperimentConfig:
             data = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: cannot decode {path} as UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: invalid JSON in {path}: {exc}") from exc
     return parse_config(data)

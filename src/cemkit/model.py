@@ -442,15 +442,16 @@ def run_online(
     window engine passes its holds_one_value test; the memoryless rule,
     whose threshold moves on every step, passes none.
 
-    Snapshots in bulk. At each stride step the loop appends the pair
-    (state(), the recorder's update count) to the recorder's pending
-    list, and calls the recorder at no other step for it. The recorder
-    drains the list itself whenever a drained snapshot could otherwise
-    see another step's best or counts: before a new best (offer_best),
-    before a fold (a full log block, a stretch) and at finish. At each
-    block end the loop calls the recorder's block_end, which folds only
-    once a log block of snapshots is pending, so a stride-1 run holds at
-    most a log block and a block of steps of them.
+    Snapshots in bulk. At each stride step the loop appends the entry
+    (t + 1, state(), best, count, count) to the recorder's pending list,
+    count being the recorder's update count and also its elite count,
+    since each online update is one elite sample; it calls the recorder
+    for no snapshot otherwise. An entry carries every scalar of its
+    snapshot, so a later best or update leaves it as it is, and only the
+    recorder's fold moves it into the table. At each block end the loop
+    calls the recorder's block_end, which folds only once a log block of
+    entries is pending, so a stride-1 run holds at most a log block and
+    a block of steps of them.
 
     The recorder class is the one switch, and it switches only what a
     counting tool counts: a recorder_class that overrides update_applied
@@ -458,8 +459,8 @@ def run_online(
     stores no row. So it still sees one fn call per step and one
     update_applied call per update, and the run's window sees every push
     and threshold call. Stride snapshots go on the pending list under
-    every recorder class, drained through its stride_snapshots; the loop
-    never calls maybe_snapshot.
+    every recorder class, and its _fold moves them into the table; the
+    loop never calls maybe_snapshot.
 
     config is an OnlineConfig or a MemorylessConfig; eps_conv set stops
     the run early on 0/1 absorption.
@@ -532,7 +533,7 @@ def run_online(
                 bits_from = None
                 update_applied(probs)
             if (t + 1) % stride == 0:
-                pending.append((state(), recorder.update_count))
+                pending.append((t + 1, state(), best, recorder.update_count, recorder.update_count))
             if elite and eps is not None and is_absorbed(probs, eps):
                 return recorder.finish(t + 1, *state())
         block_end()

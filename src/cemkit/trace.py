@@ -58,6 +58,9 @@ _BLOCK_VALUES = 1 << 13
 # into sign-change counts and table rows once per block.
 _LOG_BLOCK_VALUES = 1 << 13
 _SCALAR_COLUMNS = ("step", "gamma", "delta", "best_value", "update_count", "elite_decisions")
+# A snapshot on a TraceRecorder's pending list:
+# (step, (gamma, delta), best_value, update_count, elite_decisions).
+_Entry = Tuple[int, Tuple[Optional[float], Optional[float]], Optional[float], int, int]
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -75,10 +78,8 @@ class SnapshotTable(Sequence[TraceSnapshot]):
     counts never decrease along a run, so the snapshots of one row are
     consecutive: row k serves the snapshots from row_starts[k] up to the
     next row's first. The scalar fields are plain lists, one entry per
-    snapshot, so None stays None. A snapshot's scalars are appended
-    first and its row written later (extend): the table holds the
-    `written` snapshots whose rows are written, and a recorder's table
-    may hold the scalars of pending snapshots past them.
+    snapshot, so None stays None. extend appends snapshots' scalars and
+    their new rows together.
     Items are TraceSnapshots whose arrays are read-only views of their
     row. A RunTrace holds the sealed() form: read-only views of the
     filled rows, the other columns as tuples.
@@ -86,7 +87,6 @@ class SnapshotTable(Sequence[TraceSnapshot]):
 
     def __init__(self, n: int):
         self.block_rows = max(1, _BLOCK_VALUES // n)
-        self.written = 0
         self.row_starts: List[int] = []
         self._params: List[np.ndarray] = []
         self._sign_changes: List[np.ndarray] = []
@@ -98,7 +98,7 @@ class SnapshotTable(Sequence[TraceSnapshot]):
         self.elite_decisions: List[int] = []
 
     def __len__(self) -> int:
-        return self.written
+        return len(self.step)
 
     def _filled(self, blocks: List[np.ndarray]) -> List[np.ndarray]:
         # Read-only views of the rows stored so far.
@@ -113,16 +113,16 @@ class SnapshotTable(Sequence[TraceSnapshot]):
     def runs(self) -> List[int]:
         """The number of snapshots of each stored row."""
         starts = self.row_starts
-        return [end - start for start, end in zip(starts, [*starts[1:], self.written])]
+        return [end - start for start, end in zip(starts, [*starts[1:], len(self)])]
 
     def __getitem__(self, i):
         """The snapshot at index i, or a list of them for a slice."""
         if isinstance(i, slice):
-            return [self[j] for j in range(self.written)[i]]
+            return [self[j] for j in range(len(self))[i]]
         try:
-            i = range(self.written)[i]
+            i = range(len(self))[i]
         except IndexError:
-            raise IndexError(f"snapshot index {i} out of range for {self.written} snapshots") from None
+            raise IndexError(f"snapshot index {i} out of range for {len(self)} snapshots") from None
         k, r = divmod(bisect_right(self.row_starts, i) - 1, self.block_rows)
         return TraceSnapshot(
             self.step[i], _read_only(self._params[k][r]), self.gamma[i], self.delta[i],
@@ -140,13 +140,19 @@ class SnapshotTable(Sequence[TraceSnapshot]):
         )
         return (TraceSnapshot(*row) for row in zip(*columns))
 
-    def extend(self, params: np.ndarray, sign_changes: np.ndarray, starts: Iterable[int]) -> None:
-        """Write the rows of every pending snapshot, whose scalars are
-        already appended: the m rows of the (m, n) params and
-        sign_changes are the next stored rows, the i-th first taken by
-        snapshot starts[i], and pending snapshots before starts[0] take
+    def extend(
+        self, scalars: Sequence[Iterable], params: np.ndarray, sign_changes: np.ndarray,
+        starts: Iterable[int],
+    ) -> None:
+        """Append snapshots: scalars holds their columns in the order of
+        TraceSnapshot's scalar fields, the m rows of the (m, n) params
+        and sign_changes are the next stored rows, the i-th first taken
+        by snapshot starts[i], and new snapshots before starts[0] take
         the last stored row."""
         done, m = len(self.row_starts), len(params)
+        self.row_starts.extend(starts)
+        for name, column in zip(_SCALAR_COLUMNS, scalars):
+            getattr(self, name).extend(column)
         i = 0
         while i < m:
             k, r = divmod(done + i, self.block_rows)
@@ -157,18 +163,15 @@ class SnapshotTable(Sequence[TraceSnapshot]):
             self._params[k][r : r + j - i] = params[i:j]
             self._sign_changes[k][r : r + j - i] = sign_changes[i:j]
             i = j
-        self.row_starts.extend(starts)
-        self.written = len(self.step)
 
     def sealed(self) -> "SnapshotTable":
         """Read-only views of the stored rows and tuple columns of this table.
 
-        No snapshot may be pending: a recorder folds before it seals. No
-        data is copied: a row is written once, so later appends here
+        No data is copied: a row is written once, so later appends here
         never reach the sealed table.
         """
         out = SnapshotTable.__new__(SnapshotTable)
-        out.block_rows, out.written = self.block_rows, self.written
+        out.block_rows = self.block_rows
         out.row_starts = tuple(self.row_starts)
         out._params, out._sign_changes = self.param_blocks(), self._filled(self._sign_changes)
         for name in _SCALAR_COLUMNS:
@@ -211,27 +214,23 @@ class TraceRecorder:
 
     Recording a step costs almost nothing: an update copies its
     parameter vector into the next row of a fixed-size log block, and a
-    stride step appends its (state, update count) pair to the pending
-    list, which run_online fills directly. stride_snapshots drains that
-    list into the SnapshotTable's columns with one list.extend per
-    column; the recorder drains it itself before each change to what a
-    snapshot records but its update count (a new best in offer_best, an
-    update of more than one elite sample), before each fold and at
-    finish, so each drained snapshot gets the best and the counts of
-    its own step. maybe_snapshot and finish append one snapshot's
-    scalars to the table directly. The table's snapshots past its
-    written ones are pending too; a pending snapshot's log row follows
-    from its update count. The sign changes and the rows of the pending
-    snapshots' distinct update counts are worked out by one array-wide
-    fold (_fold) when the log block fills, when one log block of
-    snapshots is pending (at a block_end call, for the pending list),
-    and on every read of sign_changes or _snapshots, so no result
-    depends on the block size. A fold with no update logged and no
-    snapshot pending does nothing. updates_applied records a settled
-    stretch without the log: it folds what is pending, takes the
-    stretch's sign changes from its first row, and writes only its
-    stride snapshots' rows into the table, so a stretch of any length
-    costs O(n) plus those rows.
+    snapshot appends its own (step, (gamma, delta), best value, update
+    count, elite count) entry to the pending list. run_online fills that
+    list directly; maybe_snapshot and finish append to it too, as does
+    the constructor for the snapshot of step 0. An entry carries every
+    scalar of its snapshot, so nothing the recorder does later changes
+    it, and a pending entry's log row follows from its update count.
+    One array-wide fold (_fold) counts the sign changes of the logged
+    updates and moves the pending entries into the SnapshotTable with
+    the rows of their distinct update counts; it is the one place that
+    does so. It runs when the log block fills, when one log block of
+    entries is pending (block_end), and on every read of sign_changes or
+    _snapshots, so no result depends on the block size. A fold with no
+    update logged and no entry pending does nothing. updates_applied
+    records a settled stretch without the log or the list: it folds
+    what is pending, takes the stretch's sign changes from its first
+    row, and writes only its stride snapshots and their rows into the
+    table, so a stretch of any length costs O(n) plus those rows.
     """
 
     def __init__(
@@ -273,11 +272,10 @@ class TraceRecorder:
         self.elite_decisions = 0
         self.best: Optional[EvaluatedSample] = None
         self.first_hit_step: Optional[int] = None
-        # ((gamma, delta), update_count) of each stride step after the
-        # table's last snapshot, in step order, not yet drained.
-        self.pending: List[Tuple[Tuple[Optional[float], Optional[float]], int]] = []
         self._table = SnapshotTable(n)
-        self._snapshot(step=0, gamma=None, delta=None)
+        # The snapshots after the table's last, in step order.
+        self.pending: List[_Entry] = [self._entry(0, None, None)]
+        self.block_end()
 
     @property
     def sign_changes(self) -> np.ndarray:
@@ -291,11 +289,13 @@ class TraceRecorder:
         self._fold()
         return self._table
 
+    def _entry(self, step: int, gamma: Optional[float], delta: Optional[float]) -> _Entry:
+        """The pending entry of a snapshot of the recorder as it is now."""
+        best = None if self.best is None else self.best.value
+        return step, (gamma, delta), best, self.update_count, self.elite_decisions
+
     def update_applied(self, new_params: np.ndarray, elites: int = 1) -> None:
         """Record one parameter update covering `elites` elite samples."""
-        if elites != 1 and self.pending:
-            # A drained snapshot takes its elite count from its update count.
-            self.stride_snapshots()
         rows = self._rows = self._rows + 1
         self._log[rows] = new_params
         self.update_count += 1
@@ -319,7 +319,8 @@ class TraceRecorder:
         and never turns: the stretch's sign changes all fall on its
         first row, and the counts are constant after it. So the record
         costs O(n) plus the stride-step rows, whatever m is; no row goes
-        into the update log.
+        into the update log. It folds first, so no pending entry comes
+        before the snapshots it writes.
         """
         self._fold()
         table, stride, m = self._table, self.stride, len(params)
@@ -330,30 +331,29 @@ class TraceRecorder:
         # grown by s - step, so each has a row of its own.
         first, stop = (step // stride + 1) * stride, step + m + 1
         steps = range(first, stop, stride)
+        done, k = len(table), len(steps)
         updates, elites = self.update_count - step, self.elite_decisions - step
-        table.step.extend(steps)
-        table.gamma.extend([gamma] * len(steps))
-        table.delta.extend([delta] * len(steps))
-        table.best_value.extend([None if self.best is None else self.best.value] * len(steps))
-        table.update_count.extend(range(updates + first, updates + stop, stride))
-        table.elite_decisions.extend(range(elites + first, elites + stop, stride))
+        best = None if self.best is None else self.best.value
         table.extend(
+            (
+                steps, [gamma] * k, [delta] * k, [best] * k,
+                range(updates + first, updates + stop, stride),
+                range(elites + first, elites + stop, stride),
+            ),
             params[first - step - 1 :: stride],
-            np.broadcast_to(self._sign_changes, (len(steps), params.shape[1])),
-            range(table.written, len(table.step)),
+            np.broadcast_to(self._sign_changes, (k, params.shape[1])),
+            range(done, done + k),
         )
         self._log[0] = params[-1]
         self.update_count += m
         self.elite_decisions += m
 
     def _fold(self) -> None:
-        """Drain the pending list, count the sign changes of the logged
-        updates and write the rows of the pending snapshots' new update
-        counts into the table, then start a new block."""
-        if self.pending:
-            self.stride_snapshots()
-        r, table = self._rows, self._table
-        if not r and table.written == len(table.step):
+        """Count the sign changes of the logged updates, move the pending
+        entries into the table with the rows of their new update counts,
+        then start a new block."""
+        r, pending, table = self._rows, self.pending, self._table
+        if not r and not pending:
             return
         log = self._log[: r + 1]
         # Row 0: the carried last nonzero sign; row i: the sign of update i.
@@ -369,61 +369,36 @@ class TraceRecorder:
         counts[0] = self._sign_changes
         np.cumsum(signs[1:] * held[:-1] < 0.0, axis=0, out=counts[1:])
         counts[1:] += counts[0]
-        # A pending snapshot whose update count differs from the one
-        # before it (for the first, from the last written snapshot's)
-        # takes a new row: its log row, its update count less the count
-        # at log row 0.
-        done = table.written
-        counted = table.update_count[done - 1 :] if done else [-1, *table.update_count]
-        updates = np.array(counted, dtype=np.intp)
-        new = (updates[1:] != updates[:-1]).nonzero()[0]
-        at = updates[new + 1] - (self.update_count - r)
-        table.extend(log[at], counts[at], (new + done).tolist())
+        if pending:
+            steps, states, bests, updates, elites = zip(*pending)
+            # An entry whose update count differs from the one before it
+            # (for the first, from the table's last snapshot's) takes a
+            # new row: its log row, its update count less the count at
+            # log row 0.
+            last = table.update_count[-1] if table.update_count else -1
+            counted = np.array([last, *updates], dtype=np.intp)
+            new = (counted[1:] != counted[:-1]).nonzero()[0]
+            at = counted[new + 1] - (self.update_count - r)
+            columns = (steps, *zip(*states), bests, updates, elites)
+            table.extend(columns, log[at], counts[at], (new + len(table)).tolist())
+            pending.clear()
         self._last_sign = held[r]
         self._sign_changes = counts[r]
         self._log[0] = log[r]
         self._rows = 0
 
     def block_end(self) -> None:
-        """Fold once a log block of snapshots is pending. run_online
-        calls this at each end of a draw block, so fewer than a log
-        block of snapshots is pending after it, and at most that and a
-        block's stride steps before the next."""
-        table = self._table
-        if len(self.pending) + len(table.step) - table.written >= self._log_rows:
+        """Fold once a log block of entries is pending. run_online calls
+        this at each end of a draw block, and the constructor and
+        maybe_snapshot after each entry they add, so fewer than a log
+        block of entries is pending after it, and at most that and a
+        draw block's stride steps before the next."""
+        if len(self.pending) >= self._log_rows:
             self._fold()
-
-    def stride_snapshots(self) -> None:
-        """Append the scalars of the pending stride snapshots to the
-        table, with one list.extend per column, and empty the list.
-
-        Each is the stride step after the one before it (the first:
-        after the table's last snapshot) and keeps its own update count.
-        Its elite count is that count plus the recorder's elite
-        decisions in excess of its updates, and its best value the
-        recorder's: the recorder drains before an update of more than
-        one elite sample and before a new best, so neither has moved
-        since the snapshot's step.
-        """
-        pending, table, stride = self.pending, self._table, self.stride
-        m = len(pending)
-        states, updates = zip(*pending)
-        gammas, deltas = zip(*states)
-        first = (table.step[-1] // stride + 1) * stride
-        table.step.extend(range(first, first + m * stride, stride))
-        table.gamma.extend(gammas)
-        table.delta.extend(deltas)
-        table.best_value.extend([None if self.best is None else self.best.value] * m)
-        table.update_count.extend(updates)
-        extra = self.elite_decisions - self.update_count
-        table.elite_decisions.extend([u + extra for u in updates] if extra else updates)
-        pending.clear()
 
     def offer_best(self, bits: np.ndarray, value: float, draw_index: int) -> None:
         """Candidate best-so-far; earliest draw wins ties."""
         if self.best is None or value > self.best.value:
-            if self.pending:
-                self.stride_snapshots()
             self.best = EvaluatedSample(bits=bits.copy(), value=value, draw_index=draw_index)
         if (
             self.first_hit_step is None
@@ -434,27 +409,14 @@ class TraceRecorder:
 
     def maybe_snapshot(self, step: int, gamma: Optional[float], delta: Optional[float]) -> None:
         if step % self.stride == 0:
-            if self.pending:
-                self.stride_snapshots()
-            self._snapshot(step, gamma, delta)
-
-    def _snapshot(self, step: int, gamma: Optional[float], delta: Optional[float]) -> None:
-        table = self._table
-        table.step.append(step)
-        table.gamma.append(gamma)
-        table.delta.append(delta)
-        table.best_value.append(None if self.best is None else self.best.value)
-        table.update_count.append(self.update_count)
-        table.elite_decisions.append(self.elite_decisions)
-        if len(table.step) - table.written >= self._log_rows:
-            self._fold()
+            self.pending.append(self._entry(step, gamma, delta))
+            self.block_end()
 
     def finish(self, steps: int, gamma: Optional[float], delta: Optional[float]) -> RunTrace:
         """Seal the recorder into a RunTrace with its own read-only snapshots."""
-        if self.pending:
-            self.stride_snapshots()
-        if self._table.step[-1] != steps:
-            self._snapshot(steps, gamma, delta)
+        pending = self.pending
+        if (pending[-1][0] if pending else self._table.step[-1]) != steps:
+            pending.append(self._entry(steps, gamma, delta))
         return RunTrace(
             variant=self.variant,
             n=self.p0.n,

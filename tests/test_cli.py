@@ -123,6 +123,15 @@ class TestFailureModes:
         code, _, err = _run(capsys, ["run", "--config", str(p)])
         assert code == 2 and "config error:" in err
 
+    @pytest.mark.parametrize("command", ["run", "config-dump"])
+    def test_config_that_is_not_utf8(self, capsys, tmp_path, command):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"problem": {"kind": "onemax", "n": 6}, "N": 20, "T": 5, "note": "\xff"}')
+        code, out, err = _run(capsys, [command, "--config", str(p)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"config error: config: cannot decode {p} as UTF-8: ")
+        assert "0xff" in err
+
     def test_unknown_field(self, capsys, tmp_path):
         p = tmp_path / "weird.json"
         p.write_text(json.dumps({**CFG, "turbo": True}))

@@ -100,15 +100,14 @@ def test_table_adds_blocks_and_keeps_every_row():
     rows = [np.array([u, -u, 0.5], dtype=float) for u in range(count // 2)]
     for i in range(count):
         u = i // 2
-        # A snapshot's scalars come first; it counts once its row is written.
-        for name, value in zip(FIELDS, (i, None, float(i), None, u, 3 * i)):
-            getattr(table, name).append(value)
-        assert len(table) == i
+        # A snapshot's scalars and its new row, if any, go in together.
+        scalars = [[value] for value in (i, None, float(i), None, u, 3 * i)]
         if i % 2:
             # The second snapshot of a count takes the row of the first.
-            table.extend(np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), [])
+            table.extend(scalars, np.empty((0, 3)), np.empty((0, 3), dtype=np.int64), [])
         else:
-            table.extend(rows[u][None], np.array([[u, 2 * u, 0]]), [i])
+            table.extend(scalars, rows[u][None], np.array([[u, 2 * u, 0]]), [i])
+        assert len(table) == i + 1
     assert len(table) == count
     assert [len(b) for b in table.param_blocks()] == [4] * 6 + [1]
     assert table.row_starts == list(range(0, count, 2)) and table.runs() == [2] * (count // 2)

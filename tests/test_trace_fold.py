@@ -203,32 +203,25 @@ def test_fold_matches_reference_for_random_updates(monkeypatch, rows, stride):
     assert final[0] > final[1:].max() > 0
 
 
-def listed_steps(rec):
-    """The steps of the stride snapshots in the recorder's pending list:
-    the stride steps after the table's last snapshot."""
-    first = (rec._table.step[-1] // rec.stride + 1) * rec.stride
-    return list(range(first, first + len(rec.pending) * rec.stride, rec.stride))
-
-
 def pending(rec):
-    """The steps of the pending snapshots: the table's snapshots past
-    those written, then the pending list's."""
-    table = rec._table
-    return table.step[table.written :] + listed_steps(rec)
+    """The steps of the pending snapshots, the entries of the recorder's
+    pending list."""
+    return [entry[0] for entry in rec.pending]
 
 
 def pending_rows(rec):
     """The log row of each pending snapshot: its update count less the
     count at log row 0."""
-    table = rec._table
-    counts = table.update_count[table.written :] + [u for _, u in rec.pending]
-    return [u - (rec.update_count - rec._rows) for u in counts]
+    return [entry[3] - (rec.update_count - rec._rows) for entry in rec.pending]
 
 
-def stride_step(rec, state):
-    """Record a stride step's snapshot as run_online's loop does: its
-    state() pair and the update count go on the pending list."""
-    rec.pending.append((state, rec.update_count))
+def stride_step(rec, step, state):
+    """Record a stride step's snapshot as run_online's loop does: an
+    entry of its step, its state() pair, the best value and the counts
+    goes on the pending list. (run_online passes the update count as the
+    elite count too, since each online update is one elite sample.)"""
+    best = None if rec.best is None else rec.best.value
+    rec.pending.append((step, state, best, rec.update_count, rec.elite_decisions))
 
 
 def test_fold_on_a_snapshot_step(monkeypatch):
@@ -556,7 +549,7 @@ def test_stretch_equals_per_call_recording(stride, pending_before):
         for rec in (bulk, calls):
             rec.update_applied(row)
             if s % stride == 0:
-                stride_step(rec, (float(s), None))
+                stride_step(rec, s, (float(s), None))
         ref.update_applied(row)
         ref.maybe_snapshot(s, float(s), None)
     if not pending_before:
@@ -571,7 +564,7 @@ def test_stretch_equals_per_call_recording(stride, pending_before):
     for s, row in enumerate(params, before + 1):
         calls.update_applied(row)
         if s % stride == 0:
-            stride_step(calls, (2.5, None))
+            stride_step(calls, s, (2.5, None))
         ref.update_applied(row)
         ref.maybe_snapshot(s, 2.5, None)
     # Some components turn at the stretch's first row, some never move.
@@ -585,10 +578,9 @@ def test_stretch_equals_per_call_recording(stride, pending_before):
 
 
 # The bulk form of maybe_snapshot: run_online appends each stride step's
-# (state, update count) pair to the recorder's pending list, and the
-# recorder drains it (stride_snapshots) before each change to what a
-# snapshot records but its update count, before each fold, and at
-# finish; block_end folds once a log block of snapshots is pending.
+# entry (step, state, best value, counts) to the recorder's pending list,
+# which only a fold moves into the table; block_end folds once a log
+# block of snapshots is pending.
 
 def snapshot_state(step):
     return (None if step % 4 == 0 else 0.5 * step, None if step % 3 else 0.25 * step)
@@ -631,7 +623,7 @@ def test_bulk_snapshots_match_per_call_recording(log_rows, table_rows, stride, o
             if op == "steps":
                 for s in range(step + 1, step + k + 1):
                     if s % stride == 0:
-                        stride_step(bulk, snapshot_state(s))
+                        stride_step(bulk, s, snapshot_state(s))
                     for rec in (calls, ref):
                         rec.maybe_snapshot(s, *snapshot_state(s))
                 step += k
@@ -664,23 +656,28 @@ def test_bulk_snapshots_match_per_call_recording(log_rows, table_rows, stride, o
         assert outcome(calls.finish(step, 1.5, None)) == want
 
 
-class DrainWatch(TraceRecorder):
-    """Notes, at each drain of the pending list, the recorder method that
-    drained it and the stride steps it drained."""
+class MoveWatch(TraceRecorder):
+    """Notes, at each fold, the recorder method that called it and the
+    steps of the pending entries it moves into the table."""
 
     def __init__(self, *args, **kwargs):
-        self.drains = []
+        self.moves = []
         TraceRecorder.__init__(self, *args, **kwargs)
 
-    def stride_snapshots(self):
-        self.drains.append((sys._getframe(1).f_code.co_name, listed_steps(self)))
-        TraceRecorder.stride_snapshots(self)
+    def _fold(self):
+        self.moves.append((sys._getframe(1).f_code.co_name, pending(self)))
+        TraceRecorder._fold(self)
 
 
-# Where a drain happens: a full log block (update_applied folds), a
-# block end holding a log block of snapshots, a new best, a settled
-# stretch, a mid-run read, and finish, at a stride step or past one
-# (an eps early stop: finish right after an update).
+def snapshot_steps(stride, steps):
+    """The steps of a run's snapshots: 0, each stride step, and the last."""
+    return sorted({0, *range(stride, steps + 1, stride), steps})
+
+
+# Where a fold happens: a full log block (update_applied), a block end
+# holding a log block of snapshots, a settled stretch, a mid-run read,
+# and finish, at a stride step or past one (an eps early stop: finish
+# right after an update). A new best moves nothing.
 DRAIN_OPS = st.one_of(
     st.tuples(st.just("steps"), st.integers(1, 9)),
     st.tuples(st.sampled_from(["update", "offer", "stretch"]), st.integers(1, 6)),
@@ -704,21 +701,21 @@ DRAIN_OPS = st.one_of(
 )
 def test_drained_snapshots_match_per_step_recording(log_rows, stride, ops, stop, seed):
     # The pending list against update_applied plus maybe_snapshot per
-    # step: the same RunTrace whichever call drains it, every stride
-    # step drained once and in order (but a stretch's, which
-    # updates_applied writes itself), and never by a call that changes
-    # nothing a snapshot records.
+    # step: the same RunTrace whichever call folds it, and every
+    # snapshot moved into the table once and in order by a fold (but a
+    # stretch's, which updates_applied writes itself). A new best leaves
+    # the pending entries as they are.
     n = 3
     rng = np.random.default_rng(seed)
     with pytest.MonkeyPatch.context() as mp:
         set_log_rows(mp, log_rows, n)
-        rec, ref = recorders(n, stride, cls=DrainWatch)
-        step, best, stretched = 0, -1.0, []
+        rec, ref = recorders(n, stride, cls=MoveWatch)
+        step, stretched = 0, []
         for op, k in ops:
             if op == "steps":
                 for s in range(step + 1, step + k + 1):
                     if s % stride == 0:
-                        stride_step(rec, snapshot_state(s))
+                        stride_step(rec, s, snapshot_state(s))
                     ref.maybe_snapshot(s, *snapshot_state(s))
                 step += k
             elif op == "update":
@@ -727,13 +724,11 @@ def test_drained_snapshots_match_per_step_recording(log_rows, stride, ops, stop,
                     rec.update_applied(row)
                     ref.update_applied(row)
             elif op == "offer":
-                # A value of k beats the best so far only if k > best.
                 offer = (rng.integers(0, 2, n).astype(np.uint8), float(k), step)
-                drains = len(rec.drains)
+                held, moves = list(rec.pending), len(rec.moves)
                 rec.offer_best(*offer)
                 ref.offer_best(*offer)
-                assert len(rec.drains) == drains or k > best
-                best = max(best, k)
+                assert rec.pending == held and len(rec.moves) == moves
             elif op == "stretch":
                 params, gamma = stretch_rows(rng, ref.params, k), 0.5 * step
                 rec.updates_applied(params, step, gamma, None)
@@ -753,15 +748,99 @@ def test_drained_snapshots_match_per_step_recording(log_rows, stride, ops, stop,
             ref.update_applied(row)
             step += 1
             if step % stride == 0:
-                stride_step(rec, snapshot_state(step))
+                stride_step(rec, step, snapshot_state(step))
             ref.maybe_snapshot(step, *snapshot_state(step))
         want = ref.finish(step, 1.5, None)
         assert outcome(rec.finish(step, 1.5, None)) == want
-    drained = [s for _, steps in rec.drains for s in steps]
-    assert drained == sorted(drained)
-    assert sorted(drained + stretched) == list(range(stride, step + 1, stride))
-    assert all(steps for _, steps in rec.drains)
-    assert {caller for caller, _ in rec.drains} <= {"_fold", "offer_best", "finish"}
+    moved = [s for _, steps in rec.moves for s in steps]
+    assert moved == sorted(set(moved))
+    assert sorted(moved + stretched) == snapshot_steps(stride, step)
+    callers = {"update_applied", "updates_applied", "block_end", "sign_changes", "_snapshots"}
+    assert {caller for caller, _ in rec.moves} <= callers
+
+
+# A pending entry keeps the best value and the elite count of its own
+# step, whatever comes between it and its fold: a new best, an update
+# of several elite samples (as a batch generation makes), a stretch, a
+# block end, a fold or a read.
+ENTRY_OPS = st.one_of(
+    st.tuples(st.sampled_from(["steps", "batch_steps"]), st.integers(1, 9)),
+    st.tuples(st.just("elites"), st.integers(2, 6)),
+    st.tuples(st.just("best"), st.integers(0, 6)),
+    st.tuples(st.just("stretch"), st.integers(1, 6)),
+    st.tuples(st.sampled_from(["block_end", "fold", "read"]), st.just(0)),
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@example(
+    log_rows=None, table_rows=None, stride=1,
+    ops=[("steps", 2), ("best", 3), ("elites", 4), ("read", 0)], seed=0,
+)
+@example(
+    log_rows=2, table_rows=1, stride=2,
+    ops=[("batch_steps", 2), ("elites", 3), ("best", 5), ("steps", 2), ("elites", 2), ("fold", 0)],
+    seed=0,
+)
+@example(
+    log_rows=None, table_rows=2, stride=1,
+    ops=[("batch_steps", 1), ("best", 2), ("stretch", 3), ("steps", 1), ("elites", 2), ("block_end", 0)],
+    seed=0,
+)
+@given(
+    log_rows=st.sampled_from(LOG_ROWS),
+    table_rows=st.sampled_from([1, 2, None]),
+    stride=st.sampled_from([1, 2, 3]),
+    ops=st.lists(ENTRY_OPS, max_size=30),
+    seed=st.integers(0, 30),
+)
+def test_pending_entries_keep_their_own_scalars(log_rows, table_rows, stride, ops, seed):
+    # Entries go on the pending list as run_online puts them ("steps")
+    # or through maybe_snapshot, as a batch run takes them
+    # ("batch_steps"), and new bests and updates of several elite
+    # samples come between them and their fold. Every snapshot, best
+    # value and elite count included, equals the reference's, which
+    # takes each one at its own step.
+    n = 3
+    rng = np.random.default_rng(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        set_log_rows(mp, log_rows, n)
+        if table_rows is not None:
+            mp.setattr(trace_module, "_BLOCK_VALUES", table_rows * n)
+        rec, ref = recorders(n, stride)
+        step = 0
+        for op, k in ops:
+            if op in ("steps", "batch_steps"):
+                for s in range(step + 1, step + k + 1):
+                    if op == "batch_steps":
+                        rec.maybe_snapshot(s, *snapshot_state(s))
+                    elif s % stride == 0:
+                        stride_step(rec, s, snapshot_state(s))
+                    ref.maybe_snapshot(s, *snapshot_state(s))
+                step += k
+            elif op == "elites":
+                row = rng.random(n)
+                rec.update_applied(row, elites=k)
+                ref.update_applied(row, elites=k)
+            elif op == "best":
+                offer = (rng.integers(0, 2, n).astype(np.uint8), float(k), step)
+                rec.offer_best(*offer)
+                ref.offer_best(*offer)
+            elif op == "stretch":
+                params, gamma = stretch_rows(rng, ref.params, k), 0.5 * step
+                rec.updates_applied(params, step, gamma, None)
+                for s, row in enumerate(params, step + 1):
+                    ref.update_applied(row)
+                    ref.maybe_snapshot(s, gamma, None)
+                step += k
+            elif op == "block_end":
+                rec.block_end()
+            elif op == "fold":
+                rec._fold()
+            else:
+                assert snapshot_rows(rec._snapshots) == ref.snapshots
+        want = ref.finish(step, 1.5, None)
+        assert outcome(rec.finish(step, 1.5, None)) == want
 
 
 def test_bulk_snapshots_fold_full_pending_blocks(monkeypatch):
@@ -785,14 +864,14 @@ def test_bulk_snapshots_fold_full_pending_blocks(monkeypatch):
     for s in range(1, 22):
         ref.maybe_snapshot(s, *snapshot_state(s))
     for s in range(2, 21, 2):
-        stride_step(rec, snapshot_state(s))
+        stride_step(rec, s, snapshot_state(s))
     assert folds == []
     rec.block_end()
     assert folds == [list(range(0, 21, 2))]
     for s in range(22, 26):
         ref.maybe_snapshot(s, *snapshot_state(s))
-    stride_step(rec, snapshot_state(22))
-    stride_step(rec, snapshot_state(24))
+    stride_step(rec, 22, snapshot_state(22))
+    stride_step(rec, 24, snapshot_state(24))
     rec.block_end()
     assert len(folds) == 1 and pending(rec) == [22, 24] and pending_rows(rec) == [0, 0]
     assert outcome(rec.finish(25, 1.0, None)) == ref.finish(25, 1.0, None)
@@ -800,18 +879,18 @@ def test_bulk_snapshots_fold_full_pending_blocks(monkeypatch):
 
 @pytest.mark.parametrize("eps_conv", [None, 1e-3])
 @pytest.mark.parametrize("stride", [1, 3])
-@pytest.mark.parametrize("hook", ["maybe_snapshot", "stride_snapshots"])
+@pytest.mark.parametrize("hook", ["maybe_snapshot", "_fold"])
 @pytest.mark.parametrize("variant", ["window", "memoryless"])
 def test_snapshot_hook_sees_every_stride_step(monkeypatch, variant, hook, stride, eps_conv):
     # An online run puts its stride snapshots on the recorder's pending
-    # list under every recorder class, the recorder drains the list
-    # through stride_snapshots, and maybe_snapshot is never called. A
-    # class that overrides stride_snapshots alone sees every stride step
-    # through it, once and in order, but those of a settled window's
-    # stretches, which updates_applied takes. A class that overrides
-    # maybe_snapshot alone gets no call, and still takes its stretches
-    # when the window settles. Both runs equal the plain run, also when
-    # eps_conv stops them early.
+    # list under every recorder class, only the fold moves them into the
+    # table, and maybe_snapshot is never called. A class that overrides
+    # _fold alone sees every snapshot step on the list it folds, once
+    # and in order, but those of a settled window's stretches, which
+    # updates_applied takes; the folded table holds each once, in
+    # order. A class that overrides maybe_snapshot alone gets no call,
+    # and still takes its stretches when the window settles. Both runs
+    # equal the plain run, also when eps_conv stops them early.
     seen, direct, stretched = [], [], []
 
     class Overriding(TraceRecorder):
@@ -821,11 +900,11 @@ def test_snapshot_hook_sees_every_stride_step(monkeypatch, variant, hook, stride
         seen.append(step)
         TraceRecorder.maybe_snapshot(self, step, gamma, delta)
 
-    def drain(self):
-        seen.extend(listed_steps(self))
-        TraceRecorder.stride_snapshots(self)
+    def fold(self):
+        seen.extend(pending(self))
+        TraceRecorder._fold(self)
 
-    setattr(Overriding, hook, per_step if hook == "maybe_snapshot" else drain)
+    setattr(Overriding, hook, per_step if hook == "maybe_snapshot" else fold)
     base = TraceRecorder.maybe_snapshot
 
     def spy(self, step, gamma, delta):
@@ -856,9 +935,10 @@ def test_snapshot_hook_sees_every_stride_step(monkeypatch, variant, hook, stride
     assert (run.steps < cfg.K) == (eps_conv is not None)
     assert stretched == plain_stretched
     assert direct == []
-    if hook == "stride_snapshots":
+    assert [s.step for s in run.snapshots] == snapshot_steps(stride, run.steps)
+    if hook == "_fold":
         assert seen == sorted(set(seen))
-        assert sorted(seen + stretched) == list(range(stride, run.steps + 1, stride))
+        assert sorted(seen + stretched) == snapshot_steps(stride, run.steps)
         assert len(seen) >= 50 // stride
     else:
         assert seen == []
